@@ -55,7 +55,8 @@ par-smoke: build
 	sh scripts/par_smoke.sh
 
 # Tiered-execution smoke (docs/PERFORMANCE.md): the fig. 2 guardrail
-# run under all three execution tiers (--engine tree/reg/jit) must
+# and a 4-node fleet tail-latency guardrail (merged reads, on 1 and 2
+# domains) run under both execution tiers (--engine tree/jit) must
 # produce byte-identical traces and reports — the tier-invariance
 # contract checked end to end through the CLI in seconds.
 jit-smoke: build

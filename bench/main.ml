@@ -20,7 +20,7 @@
      fleet        Ablation H: fleet-wide merged aggregation + canary
      soak         Chaos soak: fault injection vs guardrail invariants
      verify       Ablation I: grc verify pass cost (fixpoint, model checking)
-     serve        Ablation J: live control-plane rollout lifecycle cost
+     serve        Ablation K: live control-plane rollout lifecycle cost
      tiers        Execution tiers: ns/check by tier x monitor count
 
    With --json, experiments that support it (fig2, overhead, scale,
@@ -56,12 +56,12 @@ let set_engine v =
   match Guardrails.Vm.tier_of_string v with
   | Some t -> Common.engine := t
   | None ->
-    Printf.eprintf "bench: --engine expects tree, reg or jit (got %s)\n" v;
+    Printf.eprintf "bench: --engine expects tree or jit (got %s)\n" v;
     exit 2
 
 (* --engine TIER / --engine=TIER pins the monitor execution tier for
    every deployment the experiments build; figures are tier-invariant
-   (make jit-smoke byte-diffs fig2 across all three). *)
+   (make jit-smoke byte-diffs fig2 across both). *)
 let rec strip_engine acc = function
   | [] -> List.rev acc
   | "--engine" :: v :: rest ->

@@ -1,4 +1,4 @@
-(* Ablation J — cost of the live control plane (grc serve).
+(* Ablation K — cost of the live control plane (grc serve).
 
    Three questions about the versioned spec lifecycle, answered on an
    idle fleet so the numbers isolate the control plane itself:

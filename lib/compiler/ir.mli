@@ -57,8 +57,8 @@ val operands : inst -> int list
 
 val use_counts : program -> int array
 (** Reader count per register (the program result counts as one use).
-    The execution-tier specializers fuse away an intermediate register
-    only when its count is exactly 1. *)
+    The JIT tier fuses away an intermediate register only when its
+    count is exactly 1. *)
 
 
 val with_dst : inst -> int -> inst

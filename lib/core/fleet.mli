@@ -82,9 +82,10 @@ val create :
     [epoch].
 
     [engine] is the default execution tier for every member engine
-    and the control engine (see {!Deployment.create}); monitors over
-    GLOBAL keys fall back from the JIT to the register tier because
-    cross-shard merged reads have no handle fast path. *)
+    and the control engine (see {!Deployment.create}). The JIT runs
+    the control engine's monitors too: their reads of plain keys fold
+    the node shards on every check, through the same generic merged
+    path either tier takes. *)
 
 val sim : t -> Gr_sim.Engine.t
 (** The fleet's virtual clock: the shared engine in sequential mode,

@@ -87,9 +87,9 @@ val run_one :
     event, and the injector's fault traces land on node 0's tracer
     channel. Ignored by the single-node scenarios. [engine]
     selects the monitor execution tier for every deployment the
-    scenario builds (default: the JIT tier) — tiers are bit-identical,
-    so a soak failure reproduces under any of them unless the tier
-    machinery itself is the bug. *)
+    scenario builds (default: the JIT tier) — the two tiers are
+    bit-identical, so a soak failure reproduces under either unless
+    the tier machinery itself is the bug. *)
 
 type failure = {
   scenario : string;

@@ -55,9 +55,7 @@ type state = {
       (** the spec version this monitor came from, when the install
           went through the versioned lifecycle (grc serve) *)
   rule_cost_ns : float;  (** static VM cost of the rule, summed once *)
-  tier : Vm.tier;
-      (** the tier the rule actually executes on after any JIT→Reg
-          fallback (not necessarily the tier requested at install) *)
+  tier : Vm.tier;  (** the tier the rule was specialized onto at install *)
   exec : unit -> Vm.result;
       (** the rule, specialized onto [tier] at install *)
   actions_costed : (Monitor.action * (unit -> Vm.result) option) list;
@@ -390,25 +388,14 @@ let arm_trigger t st (trigger : Monitor.trigger) =
     in
     states := st :: !states
 
-(* Specialize one program onto the requested tier, returning the tier
-   actually used: the JIT declines programs over cross-shard (fleet
-   merged) keys and falls back to the register tier, which shares its
-   operator semantics and superinstructions but reads the store
-   through the generic path. *)
 let build_exec t ~tier ~slots program =
   match (tier : Vm.tier) with
   | Vm.Tree ->
     let static_cost_ns = Vm.static_cost_ns program in
-    (Vm.Tree, fun () -> Vm.run ~static_cost_ns ~store:t.store ~slots program)
-  | Vm.Reg ->
-    let c = Vm.compile ~store:t.store ~slots program in
-    (Vm.Reg, fun () -> Vm.run_compiled c)
-  | Vm.Jit -> (
-    match Jit.compile ~store:t.store ~slots program with
-    | Some j -> (Vm.Jit, fun () -> Jit.run j)
-    | None ->
-      let c = Vm.compile ~store:t.store ~slots program in
-      (Vm.Reg, fun () -> Vm.run_compiled c))
+    fun () -> Vm.run ~static_cost_ns ~store:t.store ~slots program
+  | Vm.Jit ->
+    let j = Jit.compile ~store:t.store ~slots program in
+    fun () -> Jit.run j
 
 let install ?engine ?version t monitor =
   match Gr_compiler.Verify.verify monitor with
@@ -425,9 +412,9 @@ let install ?engine ?version t monitor =
         Feature_store.register_demand t.store ~key:d.key ~fn:d.fn ~window_ns:d.window_ns
           ~param:d.param)
       demands;
-    let requested = match engine with Some e -> e | None -> t.default_tier in
+    let tier = match engine with Some e -> e | None -> t.default_tier in
     let slots = monitor.Monitor.slots in
-    let tier, exec = build_exec t ~tier:requested ~slots monitor.Monitor.rule in
+    let exec = build_exec t ~tier ~slots monitor.Monitor.rule in
     let st =
       {
         monitor;
@@ -440,9 +427,7 @@ let install ?engine ?version t monitor =
           List.map
             (fun (action : Monitor.action) ->
               match action with
-              | Monitor.Save { value; _ } ->
-                let _, run = build_exec t ~tier:requested ~slots value in
-                (action, Some run)
+              | Monitor.Save { value; _ } -> (action, Some (build_exec t ~tier ~slots value))
               | _ -> (action, None))
             monitor.Monitor.actions;
         demands;

@@ -883,7 +883,16 @@ let aggregate t ~key ~fn ~window_ns ~param =
    - [force_naive] and a cached demand's [refs]: a released demand
      (refs = 0) is no longer maintained, so the handle re-finds or
      falls back. Demands are only removed when refs reaches 0, so an
-     object with refs > 0 is guaranteed live. *)
+     object with refs > 0 is guaranteed live.
+   A key that reads as a cross-shard merge has no single entry to pin:
+   its handle records [generic] as its store generation, which no
+   [topo_gen] ever equals, so every read takes the generic path on the
+   root store ([load]/[aggregate_result]), which merges the shards. *)
+
+let generic = -1
+
+(* the generation a handle on [s] for [key] pins *)
+let pinned_gen s key = if sharded s key then generic else s.topo_gen
 
 type load_handle = {
   lh_root : t;
@@ -896,17 +905,14 @@ type load_handle = {
 
 let load_handle t key =
   let s = resolve t key in
-  if sharded s key then None
-  else
-    Some
-      {
-        lh_root = t;
-        lh_store = s;
-        lh_key = key;
-        lh_entry = Hashtbl.find_opt s.entries key;
-        lh_root_gen = t.topo_gen;
-        lh_store_gen = s.topo_gen;
-      }
+  {
+    lh_root = t;
+    lh_store = s;
+    lh_key = key;
+    lh_entry = None;
+    lh_root_gen = t.topo_gen;
+    lh_store_gen = pinned_gen s key;
+  }
 
 let handle_load h =
   if h.lh_root.topo_gen <> h.lh_root_gen || h.lh_store.topo_gen <> h.lh_store_gen then
@@ -939,26 +945,18 @@ type agg_handle = {
 
 let agg_handle t ~key ~fn ~window_ns ~param =
   let s = resolve t key in
-  if sharded s key then None
-  else begin
-    let e = Hashtbl.find_opt s.entries key in
-    let d =
-      match e with Some e -> find_demand e ~fn ~window_ns ~param | None -> None
-    in
-    Some
-      {
-        ah_root = t;
-        ah_store = s;
-        ah_key = key;
-        ah_fn = fn;
-        ah_window_ns = window_ns;
-        ah_param = param;
-        ah_entry = e;
-        ah_demand = d;
-        ah_root_gen = t.topo_gen;
-        ah_store_gen = s.topo_gen;
-      }
-  end
+  {
+    ah_root = t;
+    ah_store = s;
+    ah_key = key;
+    ah_fn = fn;
+    ah_window_ns = window_ns;
+    ah_param = param;
+    ah_entry = None;
+    ah_demand = None;
+    ah_root_gen = t.topo_gen;
+    ah_store_gen = pinned_gen s key;
+  }
 
 let handle_aggregate h =
   let s = h.ah_store in

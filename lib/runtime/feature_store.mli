@@ -170,19 +170,18 @@ val aggregate :
 
     The JIT tier resolves a read's store routing, entry, and streaming
     demand once at monitor install, reducing the per-check read to a
-    few loads and generation compares. Handle reads are observationally
-    identical to {!load}/{!aggregate_result}: same counters, same trace
-    instants, same values. Handles self-invalidate — any later
-    {!set_global_tier}/{!set_shards}, a [set_force_naive true], or a
-    released demand degrades the read to the exact slow path rather
-    than returning stale state. *)
+    few loads and generation compares. Every key has a handle. Handle
+    reads are observationally identical to {!load}/{!aggregate_result}:
+    same counters, same trace instants, same values. A key that reads
+    as a cross-shard merge on the fleet tier has no single entry to
+    pin, so its handle always takes that generic path. Handles
+    self-invalidate — any later {!set_global_tier}/{!set_shards}, a
+    [set_force_naive true], or a released demand degrades the read to
+    the exact slow path rather than returning stale state. *)
 
 type load_handle
 
-val load_handle : t -> string -> load_handle option
-(** [None] when the key currently reads as a cross-shard merge on the
-    fleet tier (no single entry to pin); callers fall back to a tier
-    that routes every read dynamically. *)
+val load_handle : t -> string -> load_handle
 
 val handle_load : load_handle -> float
 (** Same result and counter effects as [load] on the handle's store. *)
@@ -190,8 +189,7 @@ val handle_load : load_handle -> float
 type agg_handle
 
 val agg_handle :
-  t -> key:string -> fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> agg_handle option
-(** [None] under the same cross-shard condition as {!load_handle}. *)
+  t -> key:string -> fn:Gr_dsl.Ast.agg -> window_ns:float -> param:float -> agg_handle
 
 val handle_aggregate : agg_handle -> agg_result
 (** Same result, counter effects and trace instant as

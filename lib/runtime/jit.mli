@@ -1,13 +1,16 @@
-(** Closure template JIT — execution tier 2.
+(** Closure template JIT — the production execution tier.
 
     At install time, {!compile} specializes a verified program into a
-    chain of closures threaded by tail calls: constants folded at
-    compile time, feature-store reads pre-resolved to
-    {!Feature_store.load_handle}/{!Feature_store.agg_handle},
+    flat array of step closures that a check runs in one [for] loop:
+    constants folded at compile time, feature-store reads pre-resolved
+    to {!Feature_store.load_handle}/{!Feature_store.agg_handle},
     operators and constant operands baked into each closure's
     environment, and load/agg-vs-constant comparisons fused into
-    single steps. A check is then a straight run of indirect jumps —
+    single steps. A check is then a straight run of indirect calls —
     no per-check dispatch, operand decoding or frame allocation.
+
+    Every verified program compiles, fleet-merged (sharded) reads
+    included: their handles take the store's generic merged path.
 
     Results are bit-identical to {!Vm.run} on the same store state
     (same value, accounting, store counters and trace instants); the
@@ -15,11 +18,9 @@
 
 type t
 
-val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> t option
-(** [None] when the program reads a sharded (fleet cross-shard merged)
-    key, which has no handle fast path — the engine then falls back to
-    the register tier. Precondition: the program passed
-    {!Gr_compiler.Verify.verify} against these slots. *)
+val compile : store:Feature_store.t -> slots:string array -> Gr_compiler.Ir.program -> t
+(** Precondition: the program passed {!Gr_compiler.Verify.verify}
+    against these slots. *)
 
 val run : t -> Vm.result
 (** Not reentrant: a compiled program owns its register frame. *)

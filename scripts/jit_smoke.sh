@@ -1,11 +1,14 @@
 #!/bin/sh
 # Tiered-execution smoke (make jit-smoke), docs/PERFORMANCE.md.
 #
-# The tier-invariance contract through the CLI: the fig. 2
-# false-submit guardrail run under all three execution tiers —
-# tree-walking reference, register VM, template JIT — must produce
-# byte-identical traces and reports. Any divergence in verdicts,
-# cost accounting, or event ordering shows up as a byte diff.
+# The tier-invariance contract through the CLI: a run under the
+# tree-walking reference and the same run under the template JIT must
+# produce byte-identical traces and reports. Any divergence in
+# verdicts, cost accounting, or event ordering shows up as a byte diff.
+#   1. the fig. 2 false-submit guardrail on one node;
+#   2. the fleet tail-latency guardrail on a 4-node fleet, whose
+#      control monitor reads the merged view over every node shard —
+#      once on one domain and once with --domains 2.
 # Budget: well under 10s.
 set -eu
 
@@ -19,18 +22,26 @@ fail() {
     exit 1
 }
 
-for tier in tree reg jit; do
-    "$GRC" run specs/listing2.grd --until 3 --engine "$tier" \
-        --trace "$TMP/$tier.json" > "$TMP/$tier.out" \
-        || fail "--engine $tier run failed"
-done
-
-for tier in reg jit; do
-    cmp -s "$TMP/tree.json" "$TMP/$tier.json" \
-        || fail "--engine $tier trace diverged from the tree reference"
+# same_under_tiers NAME ARGS...: run `grc run ARGS` under each tier
+# and byte-diff the JIT's trace and stdout against the tree's.
+same_under_tiers() {
+    name=$1
+    shift
+    for tier in tree jit; do
+        "$GRC" run "$@" --engine "$tier" \
+            --trace "$TMP/$name-$tier.json" > "$TMP/$name-$tier.out" \
+            || fail "$name: --engine $tier run failed"
+    done
+    cmp -s "$TMP/$name-tree.json" "$TMP/$name-jit.json" \
+        || fail "$name: --engine jit trace diverged from the tree reference"
     # The report text only differs in the trace filename it echoes.
-    sed "s/$tier\.json/tree.json/" "$TMP/$tier.out" | diff -u "$TMP/tree.out" - \
-        || fail "--engine $tier stdout diverged from the tree reference"
-done
+    sed "s/$name-jit\.json/$name-tree.json/" "$TMP/$name-jit.out" \
+        | diff -u "$TMP/$name-tree.out" - \
+        || fail "$name: --engine jit stdout diverged from the tree reference"
+}
 
-echo "jit-smoke: OK (tree/reg/jit traces and reports byte-identical)"
+same_under_tiers listing2 specs/listing2.grd --until 3
+same_under_tiers fleet specs/fleet_tail_latency.grd --nodes 4 --until 3
+same_under_tiers fleet-d2 specs/fleet_tail_latency.grd --nodes 4 --until 3 --domains 2
+
+echo "jit-smoke: OK (tree/jit traces and reports byte-identical, single node and 4-node fleet on 1 and 2 domains)"

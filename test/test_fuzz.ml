@@ -6,15 +6,16 @@
    Differential: random well-typed specs are compiled twice — the
    real pipeline (optimised, streaming aggregates) and a reference
    configuration (unoptimised, naive full-scan aggregates) — and the
-   result is compared four ways: the tree-walking VM, the register
-   VM (Vm.compile), the closure template JIT (Jit.compile), and an
-   independent IR reference interpreter written directly from the
-   semantics in vm.mli. The three engine tiers must agree BIT-exactly
-   — value, instruction count, scanned samples, estimated cost, and
-   store counter effects; the reference comparison allows a rounding
-   tolerance. A divergence means a bug in the optimiser, a VM tier,
-   or the incremental store, and the failure message carries a
-   `grc run --engine` repro line.
+   result is compared three ways: the tree-walking VM, the closure
+   template JIT (Jit.compile), and an independent IR reference
+   interpreter written directly from the semantics in vm.mli. The two
+   engine tiers must agree BIT-exactly — value, instruction count,
+   scanned samples, estimated cost, and store counter effects; the
+   reference comparison allows a rounding tolerance. A sharded arm
+   repeats the tree/JIT comparison on a fleet-tier store whose reads
+   merge 2-3 node shards. A divergence means a bug in the optimiser,
+   a VM tier, or the incremental store, and the failure message
+   carries a `grc run --engine` repro line.
 
    Every case derives from a pinned seed ([0x5EED + i]), so CI runs
    the exact same 500 programs every time and a failure message
@@ -154,6 +155,96 @@ let close a b =
 
 let fuzz_keys = [| "lat"; "rate"; "depth"; "err"; "load_avg" |]
 
+(* Runs [exec] and pairs its result with the load/hit/miss counter
+   deltas it caused, summed over [stores]. *)
+let counted stores exec =
+  let counters () =
+    List.fold_left
+      (fun (l, h, m) s ->
+        (l + Store.load_count s, h + Store.agg_hit_count s, m + Store.agg_miss_count s))
+      (0, 0, 0) stores
+  in
+  let l0, h0, m0 = counters () in
+  let r : Vm.result = exec () in
+  let l1, h1, m1 = counters () in
+  (r, (l1 - l0, h1 - h0, m1 - m0))
+
+(* Bit-exact agreement of two counted runs. *)
+let same_run ((a : Vm.result), da) ((b : Vm.result), db) =
+  let bits = Int64.bits_of_float in
+  bits a.Vm.value = bits b.Vm.value
+  && a.Vm.insts_executed = b.Vm.insts_executed
+  && a.Vm.samples_scanned = b.Vm.samples_scanned
+  && bits a.Vm.est_cost_ns = bits b.Vm.est_cost_ns
+  && da = db
+
+let describe_run ((r : Vm.result), (l, h, m)) =
+  Printf.sprintf "value %h insts %d scanned %d cost %h counters %d,%d,%d" r.Vm.value
+    r.Vm.insts_executed r.Vm.samples_scanned r.Vm.est_cost_ns l h m
+
+(* Sharded arm: the case's programs on a fleet-tier store whose plain
+   keys read as the merged view over 2-3 node shards, with the saves
+   spread over the root and every shard. Tree and JIT must agree bit
+   for bit, including JIT executors compiled before a [set_shards]:
+   their handles must notice the routing change in both directions
+   (unsharded -> sharded, then sharded -> unsharded). *)
+let run_sharded_arm i ~src opts failures =
+  let fail fmt =
+    Printf.ksprintf (fun msg -> failures := Printf.sprintf "case %d: %s" i msg :: !failures) fmt
+  in
+  let clock = ref Time_ns.zero in
+  let mk () = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:1024 () in
+  let root = mk () in
+  let rng = Rng.create (0x5A4D + i) in
+  let shards = Array.init (2 + Rng.int rng 2) (fun _ -> mk ()) in
+  let members = root :: Array.to_list shards in
+  let programs =
+    List.concat_map
+      (fun (m : Monitor.t) ->
+        List.map (fun (label, p) -> (label, m.Monitor.slots, p)) (labeled_programs m))
+      opts
+  in
+  let compile_all () =
+    List.map (fun (_, slots, p) -> Jit.compile ~store:root ~slots p) programs
+  in
+  let compare phase stale =
+    List.iter2
+      (fun (label, slots, p) j_stale ->
+        (* the first run settles lazy window expiry on every member *)
+        ignore (Vm.run ~store:root ~slots p : Vm.result);
+        let tree = counted members (fun () -> Vm.run ~store:root ~slots p) in
+        List.iter
+          (fun (what, j) ->
+            let r = counted members (fun () -> Jit.run j) in
+            if not (same_run r tree) then
+              fail
+                "%s (%s, JIT %s): jit diverged from tree (%s vs %s)\n\
+                 repro: generator seed 0x%X, sharded arm\n\
+                 %s"
+                label phase what (describe_run r) (describe_run tree) (0x5EED + i) src)
+          [
+            ("compiled now", Jit.compile ~store:root ~slots p);
+            ("compiled before set_shards", j_stale);
+          ])
+      programs stale
+  in
+  let before_sharding = compile_all () in
+  Store.set_shards root shards;
+  List.iter (register_demands root) opts;
+  let targets = Array.of_list members in
+  for _ = 1 to 400 do
+    clock := Time_ns.add !clock (Time_ns.us (1 + Rng.int rng 4999));
+    let v = if Rng.int rng 50 = 0 then Float.nan else float_of_int (Rng.int rng 17) in
+    Store.save
+      targets.(Rng.int rng (Array.length targets))
+      fuzz_keys.(Rng.int rng (Array.length fuzz_keys))
+      v
+  done;
+  compare "sharded" before_sharding;
+  let before_unsharding = compile_all () in
+  Store.set_shards root [||];
+  compare "unsharded" before_unsharding
+
 let run_case i failures =
   let fail fmt =
     Printf.ksprintf (fun msg -> failures := Printf.sprintf "case %d: %s" i msg :: !failures) fmt
@@ -212,64 +303,33 @@ let run_case i failures =
                 again.Vm.value;
             (* Cross-tier: the first run above paid any lazy window
                expiry, so from here the store is at a steady state and
-               every execution tier must agree bit-for-bit — value,
+               both execution tiers must agree bit-for-bit — value,
                accounting AND store counter effects. *)
             let slots = om.Monitor.slots in
-            let counters () =
-              (Store.load_count store, Store.agg_hit_count store, Store.agg_miss_count store)
-            in
-            let run_tier tier : Vm.result * (int * int * int) =
-              let (l0, h0, m0) = counters () in
-              let r =
-                match (tier : Vm.tier) with
-                | Vm.Tree -> Vm.run ~store ~slots p_opt
-                | Vm.Reg -> Vm.run_compiled (Vm.compile ~store ~slots p_opt)
-                | Vm.Jit -> (
-                  match Jit.compile ~store ~slots p_opt with
-                  | Some j -> Jit.run j
-                  | None -> Alcotest.failf "case %d: JIT declined an unsharded program" i)
-              in
-              let (l1, h1, m1) = counters () in
-              (r, (l1 - l0, h1 - h0, m1 - m0))
-            in
-            let (tree, d_tree) = run_tier Vm.Tree in
-            List.iter
-              (fun tier ->
-                let (r, d) = run_tier tier in
-                let bits = Int64.bits_of_float in
-                if
-                  bits r.Vm.value <> bits tree.Vm.value
-                  || r.Vm.insts_executed <> tree.Vm.insts_executed
-                  || r.Vm.samples_scanned <> tree.Vm.samples_scanned
-                  || bits r.Vm.est_cost_ns <> bits tree.Vm.est_cost_ns
-                  || d <> d_tree
-                then (
-                  let (dl, dh, dm) = d and (tl, th, tm) = d_tree in
-                  fail
-                    "%s: tier %s diverged from tree (value %h/%h insts %d/%d scanned %d/%d cost \
-                     %h/%h counters %d,%d,%d/%d,%d,%d)\n\
-                     repro: save the spec below as f.grd, then `grc run f.grd --engine %s` \
-                     (generator seed 0x%X)\n\
-                     %s"
-                    label (Vm.tier_to_string tier) r.Vm.value tree.Vm.value r.Vm.insts_executed
-                    tree.Vm.insts_executed r.Vm.samples_scanned tree.Vm.samples_scanned
-                    r.Vm.est_cost_ns tree.Vm.est_cost_ns dl dh dm tl th tm
-                    (Vm.tier_to_string tier) (0x5EED + i) src))
-              [ Vm.Reg; Vm.Jit ];
+            let tree = counted [ store ] (fun () -> Vm.run ~store ~slots p_opt) in
+            let jit = counted [ store ] (fun () -> Jit.run (Jit.compile ~store ~slots p_opt)) in
+            if not (same_run jit tree) then
+              fail
+                "%s: jit diverged from tree (%s vs %s)\n\
+                 repro: save the spec below as f.grd, then `grc run f.grd --engine jit` \
+                 (generator seed 0x%X)\n\
+                 %s"
+                label (describe_run jit) (describe_run tree) (0x5EED + i) src;
             Store.set_force_naive store true;
             let reference = eval_ref ~store ~slots:rm.Monitor.slots p_ref in
             Store.set_force_naive store false;
             if not (close vm.Vm.value reference) then
               fail "%s: VM=%h reference=%h@\n%s" label vm.Vm.value reference src)
           (labeled_programs om) (labeled_programs rm))
-      opts refs
+      opts refs;
+    run_sharded_arm i ~src opts failures
 
 (* Property: cost accounting is tier-invariant. GRL105's budget
    enforcement reads est_cost_ns / samples_scanned; if a faster tier
    reported cheaper checks, budget verdicts would change with the
    --engine flag. *)
 let accounting_tier_invariant =
-  QCheck2.Test.make ~name:"cost accounting identical across tree/reg/jit" ~count:200
+  QCheck2.Test.make ~name:"cost accounting identical across tree/jit" ~count:200
     Gen.guardrail_gen (fun g ->
       let src = Gr_dsl.Pretty.spec_to_string [ g ] in
       match Compile.source src with
@@ -293,16 +353,13 @@ let accounting_tier_invariant =
                 (* the first run settles lazy window expiry *)
                 ignore (Vm.run ~store ~slots p : Vm.result);
                 let tree = Vm.run ~static_cost_ns:(Vm.static_cost_ns p) ~store ~slots p in
-                let reg = Vm.run_compiled (Vm.compile ~store ~slots p) in
-                let jit =
-                  match Jit.compile ~store ~slots p with Some j -> Jit.run j | None -> tree
-                in
+                let jit = Jit.run (Jit.compile ~store ~slots p) in
                 let same (a : Vm.result) (b : Vm.result) =
                   a.Vm.insts_executed = b.Vm.insts_executed
                   && a.Vm.samples_scanned = b.Vm.samples_scanned
                   && Int64.bits_of_float a.Vm.est_cost_ns = Int64.bits_of_float b.Vm.est_cost_ns
                 in
-                same tree reg && same tree jit)
+                same tree jit)
               (labeled_programs m))
           monitors)
 
@@ -448,7 +505,7 @@ let suite =
         pinned compiled_monitors_always_verify;
         pinned accounting_tier_invariant;
         Alcotest.test_case
-          "differential: tree/reg/jit/reference 4-way, 500 pinned seeds" `Quick
+          "differential: tree/jit/reference 3-way plus sharded arm, 500 pinned seeds" `Quick
           test_differential;
         Alcotest.test_case
           "differential: fleet sequential vs parallel epoch-barrier, 30 pinned seeds" `Quick

@@ -1,10 +1,10 @@
 (* Tier-selection edge cases for the tiered execution engine:
 
-   - the --engine CLI knob rejects garbage with exit 2 and a single
-     diagnostic line (no usage dump, no backtrace);
-   - Engine.install honors the requested tier, and the JIT declines
-     programs whose keys resolve to sharded (fleet-merged) reads —
-     falling back to the register tier, never to an error;
+   - the --engine CLI knob accepts exactly tree and jit, and rejects
+     anything else with exit 2 and a single diagnostic line (no usage
+     dump, no backtrace);
+   - Engine.install honors the requested tier, fleet control monitors
+     (whose reads merge the node shards) included;
    - re-installing a monitor under a different tier keeps the store's
      aggregate demands refcounted correctly: shapes shared across
      installs survive a partial uninstall, and a full uninstall
@@ -43,20 +43,23 @@ let test_engine_flag_garbage () =
         Fun.protect
           ~finally:(fun () -> Sys.remove err)
           (fun () ->
-            let code =
-              Sys.command
-                (Printf.sprintf "%s run %s --engine turbo >/dev/null 2>%s" grc spec err)
-            in
-            check_int "garbage --engine exits 2" 2 code;
-            let ic = open_in err in
-            let lines = ref [] in
-            (try
-               while true do
-                 lines := input_line ic :: !lines
-               done
-             with End_of_file -> ());
-            close_in ic;
-            check_int "diagnostic is a single line" 1 (List.length !lines);
+            (* the register VM's old name is as unknown as any other *)
+            List.iter
+              (fun flag ->
+                let code =
+                  Sys.command (Printf.sprintf "%s run %s %s >/dev/null 2>%s" grc spec flag err)
+                in
+                check_int (flag ^ " exits 2") 2 code;
+                let ic = open_in err in
+                let lines = ref [] in
+                (try
+                   while true do
+                     lines := input_line ic :: !lines
+                   done
+                 with End_of_file -> ());
+                close_in ic;
+                check_int (flag ^ ": diagnostic is a single line") 1 (List.length !lines))
+              [ "--engine turbo"; "--engine reg" ];
             check_int "soak rejects garbage --engine too" 2
               (Sys.command
                  (Printf.sprintf
@@ -77,10 +80,10 @@ let test_engine_flag_accepted () =
               (Sys.command
                  (Printf.sprintf "%s run %s --until 0.2 --engine %s >/dev/null 2>&1" grc spec
                     tier)))
-          [ "tree"; "reg"; "jit" ])
+          [ "tree"; "jit" ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine.install: tier selection and the sharded-store fallback      *)
+(* Engine.install: tier selection, fleet control monitors included    *)
 (* ------------------------------------------------------------------ *)
 
 let avg_source =
@@ -109,28 +112,30 @@ let test_requested_tier_honored () =
             (Vm.tier_to_string (Engine.tier h));
         ignore (Engine.check_now engine h : bool);
         Engine.uninstall engine h)
-    [ Vm.Tree; Vm.Reg; Vm.Jit ]
+    Vm.all_tiers
 
-let test_jit_falls_back_on_sharded_store () =
+let test_fleet_control_on_jit () =
   (* A fleet's control store reads plain keys as the cross-shard
-     merged view — no handle fast path, so a JIT request must come
-     back as the register tier, not an error. Node stores are
-     unsharded: their monitors keep the JIT. *)
-  let fleet = Fleet.create ~nodes:2 ~seed:3 () in
-  (match Fleet.install_source fleet avg_source with
-  | Error e -> Alcotest.failf "fleet install: %a" D.pp_error e
-  | Ok [ h ] ->
-    if Engine.tier h <> Vm.Reg then
-      Alcotest.failf "fleet monitor should fall back to reg, got %s"
-        (Vm.tier_to_string (Engine.tier h))
-  | Ok _ -> Alcotest.fail "expected one handle");
-  match D.install_source (Fleet.node fleet 0) avg_source with
-  | Error e -> Alcotest.failf "node install: %a" D.pp_error e
-  | Ok [ h ] ->
-    if Engine.tier h <> Vm.Jit then
-      Alcotest.failf "node monitor should keep the JIT, got %s"
-        (Vm.tier_to_string (Engine.tier h))
-  | Ok _ -> Alcotest.fail "expected one handle"
+     merged view. The JIT compiles such monitors like any other, and
+     their verdict matches the tree tier's. Node 0 alone averages 50,
+     the merged view 175, so only a merged read reports the
+     violation. *)
+  let verdict engine =
+    let fleet = Fleet.create ~nodes:2 ~seed:3 ~engine () in
+    D.save (Fleet.node fleet 0) "lat" 50.;
+    D.save (Fleet.node fleet 1) "lat" 300.;
+    match Fleet.install_source fleet avg_source with
+    | Error e -> Alcotest.failf "fleet install: %a" D.pp_error e
+    | Ok [ h ] ->
+      if Engine.tier h <> engine then
+        Alcotest.failf "fleet monitor requested %s, runs on %s" (Vm.tier_to_string engine)
+          (Vm.tier_to_string (Engine.tier h));
+      Engine.check_now (Fleet.engine fleet) h
+    | Ok _ -> Alcotest.fail "expected one handle"
+  in
+  let jit = verdict Vm.Jit in
+  Alcotest.(check bool) "jit verdict equals tree verdict" (verdict Vm.Tree) jit;
+  Alcotest.(check bool) "the merged average violates the rule" false jit
 
 (* ------------------------------------------------------------------ *)
 (* Re-install across tiers: demand refcounts                          *)
@@ -173,11 +178,10 @@ let test_reinstall_preserves_demands () =
         Engine.uninstall engine h;
         check_int "uninstall releases again" 0 (Store.demand_count store);
         v)
-      [ Vm.Tree; Vm.Reg; Vm.Jit ]
+      Vm.all_tiers
   in
   match verdicts with
-  | [ a; b; c ] ->
-    if not (a = b && b = c) then Alcotest.failf "verdicts differ across tiers: %b %b %b" a b c
+  | [ a; b ] -> if a <> b then Alcotest.failf "verdicts differ across tiers: %b %b" a b
   | _ -> assert false
 
 let suite =
@@ -186,10 +190,10 @@ let suite =
       [
         Alcotest.test_case "grc --engine rejects garbage with exit 2, one line" `Quick
           test_engine_flag_garbage;
-        Alcotest.test_case "grc --engine accepts tree/reg/jit" `Quick test_engine_flag_accepted;
+        Alcotest.test_case "grc --engine accepts tree/jit" `Quick test_engine_flag_accepted;
         Alcotest.test_case "install honors the requested tier" `Quick test_requested_tier_honored;
-        Alcotest.test_case "JIT falls back to reg on sharded stores" `Quick
-          test_jit_falls_back_on_sharded_store;
+        Alcotest.test_case "fleet control monitors run on the JIT" `Quick
+          test_fleet_control_on_jit;
         Alcotest.test_case "re-install across tiers preserves demand refcounts" `Quick
           test_reinstall_preserves_demands;
       ] );
