@@ -1,4 +1,4 @@
-.PHONY: all build test fmt fmt-check lint bench bench-smoke soak-smoke fleet-smoke par-smoke jit-smoke tsan-smoke obs-smoke serve-smoke examples-run ci
+.PHONY: all build test fmt fmt-check lint bench bench-smoke soak-smoke fleet-smoke par-smoke jit-smoke tsan-smoke obs-smoke serve-smoke perf-smoke examples-run ci
 
 all: build
 
@@ -93,6 +93,13 @@ obs-smoke: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
+# Benchmark output smoke (perfbench/README.md): a one-second run of
+# each benchmark workload (ingest, check, fleet-serve) at the pinned
+# seed must reproduce the outputs pinned in perfbench/refs.json, with
+# no failed operation.
+perf-smoke: build
+	sh scripts/perf_smoke.sh
+
 # Compile and run every file in examples/ end to end.
 examples-run:
 	dune build @examples-run
@@ -109,4 +116,5 @@ ci: fmt-check
 	$(MAKE) tsan-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) perf-smoke
 	$(MAKE) examples-run

@@ -15,13 +15,13 @@
      incremental  Ablation D: incremental deployment
      compile-stats Ablation E: compiler statistics over specs/
      scale        Ablation F: monitor-count scalability (incl. fleet sweep)
-     obs          Ablation G: observability self-overhead (provenance, metrics)
+     obs          Ablation L: observability self-overhead (provenance, metrics)
      agg          Ablation G: naive vs incremental window aggregation
      fleet        Ablation H: fleet-wide merged aggregation + canary
      soak         Chaos soak: fault injection vs guardrail invariants
      verify       Ablation I: grc verify pass cost (fixpoint, model checking)
      serve        Ablation K: live control-plane rollout lifecycle cost
-     tiers        Execution tiers: ns/check by tier x monitor count
+     tiers        Ablation J: execution tiers, ns/check by tier x monitor count
 
    With --json, experiments that support it (fig2, overhead, scale,
    agg) print one machine-readable JSON document to stdout instead of

@@ -1,4 +1,4 @@
-(* Ablation G — what does watching cost?
+(* Ablation L — what does watching cost?
 
    The observability plane's self-overhead in real host time, not the
    VM's estimated-ns currency. Two layers of measurement:
@@ -215,7 +215,7 @@ let run ~json =
                   selfcost) );
          ])
   else begin
-    Common.section "Ablation G — observability self-overhead";
+    Common.section "Ablation L — observability self-overhead";
     Printf.printf "  per-op calibration (batched over %d iterations):\n" n;
     Printf.printf "    %-36s %10.1f ns\n" "rule check (untraced)" check_ns;
     Printf.printf "    %-36s %10.1f ns\n" "rule check (traced, bounded ring)" traced_check_ns;

@@ -136,32 +136,38 @@ let feedback_cycles t = Gr_compiler.Deps.cycles (installed_monitors t)
 
 let save t key value = Gr_runtime.Feature_store.save t.store key value
 
+(* The forwarder runs on every firing of a busy hook, so the store
+   key is resolved once into a writer here, and the arg is found by a
+   loop that does not allocate the option [List.assoc_opt] would. *)
 let forward_hook_arg t ~hook ~arg ?key () =
-  let key = Option.value ~default:arg key in
-  ignore
-    (Gr_kernel.Hooks.subscribe t.kernel.hooks hook (fun args ->
-         match List.assoc_opt arg args with
-         | Some v -> save t key v
-         | None -> ())
-      : Gr_kernel.Hooks.subscription)
+  let w = Gr_runtime.Feature_store.writer t.store (Option.value ~default:arg key) in
+  let rec forward = function
+    | [] -> ()
+    | (name, v) :: rest ->
+      if String.equal name arg then Gr_runtime.Feature_store.write w v else forward rest
+  in
+  ignore (Gr_kernel.Hooks.subscribe t.kernel.hooks hook forward : Gr_kernel.Hooks.subscription)
 
 let derive_window_avg t ~src ~dst ~window ~every =
   (* The derivation asks for this exact aggregate forever; register it
      so every periodic read is a streaming O(1) hit, not a scan. *)
   Gr_runtime.Feature_store.register_demand t.store ~key:src ~fn:Gr_dsl.Ast.Avg
     ~window_ns:(float_of_int window) ~param:0.;
+  let w = Gr_runtime.Feature_store.writer t.store dst in
   ignore
     (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ ->
          let avg =
            Gr_runtime.Feature_store.aggregate t.store ~key:src ~fn:Gr_dsl.Ast.Avg
              ~window_ns:(float_of_int window) ~param:0.
          in
-         save t dst avg)
+         Gr_runtime.Feature_store.write w avg)
       : Gr_sim.Engine.handle)
 
 let derive_periodic t ~key ~every sample =
+  let w = Gr_runtime.Feature_store.writer t.store key in
   ignore
-    (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ -> save t key (sample ()))
+    (Gr_sim.Engine.every t.kernel.engine ~interval:every (fun _ ->
+         Gr_runtime.Feature_store.write w (sample ()))
       : Gr_sim.Engine.handle)
 
 let bind_control_key t ~key callback =

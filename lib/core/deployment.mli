@@ -141,7 +141,11 @@ val save : t -> string -> float -> unit
 
 val forward_hook_arg : t -> hook:string -> arg:string -> ?key:string -> unit -> unit
 (** Every time [hook] fires, saves its [arg] scalar under [key]
-    (default: the arg name). Missing args are ignored. *)
+    (default: the arg name). Missing args are ignored. The key is
+    resolved once, at subscribe time, into a
+    {!Gr_runtime.Feature_store.writer}, so each firing writes the
+    pinned entry without hashing the key; the effects are those of
+    {!save}. *)
 
 val derive_window_avg :
   t ->

@@ -60,9 +60,17 @@ let global_prefix = "global::"
 
 let global_key name = global_prefix ^ name
 
+(* Every store save, load and handle creation asks this, so compare
+   the prefix in place rather than allocate it with [String.sub]. *)
 let is_global_key key =
   let n = String.length global_prefix in
-  String.length key >= n && String.sub key 0 n = global_prefix
+  String.length key >= n
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get key !i = String.unsafe_get global_prefix !i do
+    incr i
+  done;
+  !i = n
 
 let local_name key =
   if is_global_key key then

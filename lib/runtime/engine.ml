@@ -48,6 +48,10 @@ type violation_record = {
   snapshot : (string * float) list;
 }
 
+(* A SAVE action, pinned at install: its value program's executor and
+   a write handle on its key. *)
+type save_exec = { value : unit -> Vm.result; writer : Feature_store.writer }
+
 type state = {
   monitor : Monitor.t;
   id : int;
@@ -58,10 +62,10 @@ type state = {
   tier : Vm.tier;  (** the tier the rule was specialized onto at install *)
   exec : unit -> Vm.result;
       (** the rule, specialized onto [tier] at install *)
-  actions_costed : (Monitor.action * (unit -> Vm.result) option) list;
+  actions_costed : (Monitor.action * save_exec option) list;
       (** each action paired with its SAVE value program's executor
-          (specialized like the rule; [None] for non-SAVE actions),
-          built at install *)
+          (specialized like the rule) and key writer ([None] for
+          non-SAVE actions), built at install *)
   demands : Gr_compiler.Deps.agg_demand list;
       (** aggregate demands registered with the store on install *)
   mutable installed : bool;
@@ -131,10 +135,13 @@ let rec create ~kernel ~store ?(config = default_config) ?tracer ?(engine = Vm.J
    store tier are replayed into each node engine so ON_CHANGE(GLOBAL
    key) triggers fire on nodes too. *)
 and dispatch_on_change t key =
-  match Hashtbl.find_opt t.on_change_index key with
-  | None -> ()
-  | Some states ->
-    List.iter (fun st -> on_change_check t ~via:("on_change:" ^ key) st) !states
+  (* Runs on every store save; until some monitor arms an ON_CHANGE
+     trigger there is no key worth hashing. *)
+  if Hashtbl.length t.on_change_index > 0 then
+    match Hashtbl.find_opt t.on_change_index key with
+    | None -> ()
+    | Some states ->
+      List.iter (fun st -> on_change_check t ~via:("on_change:" ^ key) st) !states
 
 and on_change_check t ~via st = check t ~via st
 
@@ -249,9 +256,8 @@ and run_actions t st =
         | Some handler -> with_current t.tracer aspan (fun () -> handler ~cls)
         | None -> Log.warn (fun m -> m "KILL(%s): no handler wired (monitor %s)" cls st.monitor.name))
       | Monitor.Save { key; value = _ } ->
-        let result : Vm.result =
-          match save_exec with Some run -> run () | None -> assert false
-        in
+        let save = match save_exec with Some s -> s | None -> assert false in
+        let result : Vm.result = save.value () in
         st.overhead_ns <- st.overhead_ns +. result.est_cost_ns;
         Metrics.record_action_cost
           (Metrics.monitor (Tracer.metrics t.tracer) st.monitor.Monitor.name)
@@ -260,8 +266,7 @@ and run_actions t st =
           action_instant t st "SAVE"
             [ ("key", Event.Str key); ("value", Event.Float result.value) ]
         in
-        with_current t.tracer aspan (fun () ->
-            Feature_store.save t.store key result.value))
+        with_current t.tracer aspan (fun () -> Feature_store.write save.writer result.value))
     st.actions_costed;
   if not !reported then report t st ~message:"<violation>" ~snapshot:[]
 
@@ -427,7 +432,13 @@ let install ?engine ?version t monitor =
           List.map
             (fun (action : Monitor.action) ->
               match action with
-              | Monitor.Save { value; _ } -> (action, Some (build_exec t ~tier ~slots value))
+              | Monitor.Save { key; value } ->
+                ( action,
+                  Some
+                    {
+                      value = build_exec t ~tier ~slots value;
+                      writer = Feature_store.writer t.store key;
+                    } )
               | _ -> (action, None))
             monitor.Monitor.actions;
         demands;

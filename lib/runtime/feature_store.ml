@@ -41,7 +41,13 @@ end
    Running count/sum/sum-of-squares serve COUNT/SUM/RATE/AVG/STDDEV;
    MIN/MAX keep a monotonic deque of (seq, value); DELTA reads the
    ring directly at [oldest_seq]; QUANTILE gathers the in-window
-   suffix located by binary search and ranks it. *)
+   suffix located by binary search and ranks it.
+
+   The running sums sit in an all-float record, which OCaml stores
+   flat: updating them on every save writes two unboxed words instead
+   of allocating two boxed floats into a long-lived demand. *)
+type sums = { mutable sum : float; mutable sumsq : float }
+
 type demand = {
   fn : Gr_dsl.Ast.agg;
   window_ns : float;
@@ -49,8 +55,7 @@ type demand = {
   mutable refs : int;
   mutable oldest_seq : int;
   mutable count : int;
-  mutable sum : float;
-  mutable sumsq : float;
+  sums : sums;
   mutable nans : int; (* NaN samples currently in window *)
   mutable extremes : int; (* non-finite or huge samples in window *)
   mutable needs_rebuild : bool;
@@ -67,12 +72,17 @@ type demand = {
    when something (e.g. a fault injector) corrupts a key. *)
 let is_extreme v = (not (Float.is_finite v)) || Float.abs v > 1e11
 
+(* A key's latest value is its ring's newest sample: every save
+   pushes, and nothing else removes the newest. *)
 type entry = {
-  samples : (Time_ns.t * float) Ring.t;
-  mutable latest : float;
+  samples : Sample_ring.t;
   mutable pushes : int; (* total saves ever; the next sample's seq *)
   mutable demands : demand list; (* few per key; linear lookup *)
 }
+
+let latest e =
+  let n = Sample_ring.length e.samples in
+  if n = 0 then 0. else Sample_ring.value e.samples (n - 1)
 
 type t = {
   clock : unit -> Time_ns.t;
@@ -153,11 +163,11 @@ let members t = t :: Array.to_list t.shards
 let tracing t = match t.tracer with Some tr -> Gr_trace.Tracer.enabled tr | None -> false
 
 let entry t key =
-  match Hashtbl.find_opt t.entries key with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.entries key with
+  | e -> e
+  | exception Not_found ->
     let e =
-      { samples = Ring.create ~capacity:t.capacity_per_key; latest = 0.; pushes = 0; demands = [] }
+      { samples = Sample_ring.create ~capacity:t.capacity_per_key; pushes = 0; demands = [] }
     in
     Hashtbl.add t.entries key e;
     e
@@ -171,17 +181,18 @@ let retire t d v =
     d.extremes <- d.extremes - 1;
     if d.extremes = 0 then d.needs_rebuild <- true
   end;
+  let s = d.sums in
   if d.count = 0 then begin
     (* Resetting on empty kills floating-point drift: each non-empty
        stretch of the window accumulates its own error, none carries
        over. *)
-    d.sum <- 0.;
-    d.sumsq <- 0.;
+    s.sum <- 0.;
+    s.sumsq <- 0.;
     d.needs_rebuild <- false
   end
   else begin
-    d.sum <- d.sum -. v;
-    d.sumsq <- d.sumsq -. (v *. v);
+    s.sum <- s.sum -. v;
+    s.sumsq <- s.sumsq -. (v *. v);
     (* Catastrophic cancellation: if the retired sample dominated the
        running sums, the subtraction left mostly the rounding error
        accumulated while it was in the window (an adversarial 1e9
@@ -191,15 +202,15 @@ let retire t d v =
        counters handle that case. *)
     if
       (not d.needs_rebuild)
-      && (Float.abs v > Float.abs d.sum || v *. v > d.sumsq)
+      && (Float.abs v > Float.abs s.sum || v *. v > s.sumsq)
     then d.needs_rebuild <- true
   end;
   t.expired <- t.expired + 1
 
 let admit d seq v =
   d.count <- d.count + 1;
-  d.sum <- d.sum +. v;
-  d.sumsq <- d.sumsq +. (v *. v);
+  d.sums.sum <- d.sums.sum +. v;
+  d.sums.sumsq <- d.sums.sumsq +. (v *. v);
   if Float.is_nan v then d.nans <- d.nans + 1;
   if is_extreme v then d.extremes <- d.extremes + 1;
   match d.extrema with
@@ -222,15 +233,14 @@ let admit d seq v =
 let rebuild e d =
   d.needs_rebuild <- false;
   d.count <- 0;
-  d.sum <- 0.;
-  d.sumsq <- 0.;
+  d.sums.sum <- 0.;
+  d.sums.sumsq <- 0.;
   d.nans <- 0;
   d.extremes <- 0;
   (match d.extrema with Some dq -> Deque.clear dq | None -> ());
-  let base = e.pushes - Ring.length e.samples in
+  let base = e.pushes - Sample_ring.length e.samples in
   for seq = d.oldest_seq to e.pushes - 1 do
-    let _, v = Ring.get e.samples (seq - base) in
-    admit d seq v
+    admit d seq (Sample_ring.value e.samples (seq - base))
   done
 
 let maybe_rebuild e d = if d.needs_rebuild then rebuild e d
@@ -239,13 +249,13 @@ let maybe_rebuild e d = if d.needs_rebuild then rebuild e d
    returns how many were retired (the check's amortized scan cost). *)
 let expire t e d ~now =
   let cutoff = now - int_of_float d.window_ns in
-  let base = e.pushes - Ring.length e.samples in
+  let base = e.pushes - Sample_ring.length e.samples in
   let expired = ref 0 in
   let continue = ref true in
   while !continue && d.oldest_seq < e.pushes do
-    let at, v = Ring.get e.samples (d.oldest_seq - base) in
-    if at <= cutoff then begin
-      retire t d v;
+    let i = d.oldest_seq - base in
+    if Sample_ring.time e.samples i <= cutoff then begin
+      retire t d (Sample_ring.value e.samples i);
       d.oldest_seq <- d.oldest_seq + 1;
       incr expired
     end
@@ -257,34 +267,58 @@ let expire t e d ~now =
   maybe_rebuild e d;
   !expired
 
-(* The ring is about to overwrite its oldest slot: any demand still
-   counting that sample must give it up now, while the value is
-   readable. *)
-let evict_oldest t e =
-  match Ring.oldest e.samples with
-  | None -> ()
-  | Some (_, v) ->
-    let evict_seq = e.pushes - Ring.length e.samples in
-    List.iter
-      (fun d ->
-        if d.oldest_seq <= evict_seq then begin
-          retire t d v;
-          d.oldest_seq <- evict_seq + 1;
-          (match d.extrema with
-          | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq <= evict_seq) dq
-          | None -> ());
-          maybe_rebuild e d
-        end)
-      e.demands
+(* Called before every push. When the ring is full the push
+   overwrites its oldest slot, so any demand still counting that
+   sample must give it up now, while the value is readable; a key
+   without demands skips even the fullness test. The per-save loops
+   below recurse over the demand list rather than pass a closure to
+   [List.iter], which would allocate one per save. *)
+let rec evict_from t e ~evict_seq v = function
+  | [] -> ()
+  | d :: rest ->
+    if d.oldest_seq <= evict_seq then begin
+      retire t d v;
+      d.oldest_seq <- evict_seq + 1;
+      (match d.extrema with
+      | Some dq -> Deque.drop_front_while (fun (seq, _) -> seq <= evict_seq) dq
+      | None -> ());
+      maybe_rebuild e d
+    end;
+    evict_from t e ~evict_seq v rest
 
-let save_here t key value =
-  let e = entry t key in
-  e.latest <- value;
-  if Ring.length e.samples = Ring.capacity e.samples then evict_oldest t e;
-  Ring.push e.samples (t.clock (), value);
+let evict_oldest t e =
+  match e.demands with
+  | [] -> ()
+  | demands ->
+    if Sample_ring.is_full e.samples then begin
+      let evict_seq = e.pushes - Sample_ring.length e.samples in
+      evict_from t e ~evict_seq (Sample_ring.value e.samples 0) demands
+    end
+
+let rec admit_all seq v = function
+  | [] -> ()
+  | d :: rest ->
+    admit d seq v;
+    admit_all seq v rest
+
+(* [Vec.iter] would allocate a closure per save. The subscriber is
+   bound before the call: [(Vec.get subs i) key value] would be one
+   four-argument application that, across modules, goes through
+   partial applications. *)
+let notify t key value =
+  let subs = t.subscribers in
+  for i = 0 to Vec.length subs - 1 do
+    let fn = Vec.get subs i in
+    fn key value
+  done
+
+(* The write itself, once [key]'s entry [e] in [t] is known. *)
+let save_entry t key e value =
+  evict_oldest t e;
+  Sample_ring.push e.samples (t.clock ()) value;
   let seq = e.pushes in
-  e.pushes <- e.pushes + 1;
-  List.iter (fun d -> admit d seq value) e.demands;
+  e.pushes <- seq + 1;
+  admit_all seq value e.demands;
   t.saves <- t.saves + 1;
   (* Counter events let Chrome/Perfetto plot each key as a time
      series; emitted before subscribers so the SAVE sample precedes
@@ -299,9 +333,11 @@ let save_here t key value =
     Gr_trace.Tracer.set_current tr (Some span);
     Fun.protect
       ~finally:(fun () -> Gr_trace.Tracer.set_current tr prev)
-      (fun () -> Vec.iter (fun fn -> fn key value) t.subscribers)
+      (fun () -> notify t key value)
   end
-  else Vec.iter (fun fn -> fn key value) t.subscribers
+  else notify t key value
+
+let save_here t key value = save_entry t key (entry t key) value
 
 let set_global_publish t fn = t.global_publish <- fn
 
@@ -322,26 +358,27 @@ let save t key value =
    the later member, matching the merged window ordering (stable by
    member position). *)
 let merged_load t key =
-  let best = ref None in
+  let found = ref false and best_at = ref 0 and best = ref 0. in
   List.iter
     (fun m ->
       match Hashtbl.find_opt m.entries key with
-      | None -> ()
-      | Some e -> (
-        match Ring.newest e.samples with
-        | None -> ()
-        | Some (at, v) -> (
-          match !best with
-          | Some (at', _) when at' > at -> ()
-          | _ -> best := Some (at, v))))
+      | Some e when Sample_ring.length e.samples > 0 ->
+        let newest = Sample_ring.length e.samples - 1 in
+        let at = Sample_ring.time e.samples newest in
+        if (not !found) || at >= !best_at then begin
+          found := true;
+          best_at := at;
+          best := Sample_ring.value e.samples newest
+        end
+      | _ -> ())
     (members t);
-  match !best with Some (_, v) -> v | None -> 0.
+  !best
 
 let load t key =
   let t = resolve t key in
   t.loads <- t.loads + 1;
   if sharded t key then merged_load t key
-  else match Hashtbl.find_opt t.entries key with Some e -> e.latest | None -> 0.
+  else match Hashtbl.find_opt t.entries key with Some e -> latest e | None -> 0.
 
 let mem t key =
   let t = resolve t key in
@@ -383,10 +420,9 @@ and register_demand_here t ~key ~fn ~window_ns ~param =
         window_ns;
         param;
         refs = 1;
-        oldest_seq = e.pushes - Ring.length e.samples;
+        oldest_seq = e.pushes - Sample_ring.length e.samples;
         count = 0;
-        sum = 0.;
-        sumsq = 0.;
+        sums = { sum = 0.; sumsq = 0. };
         nans = 0;
         extremes = 0;
         needs_rebuild = false;
@@ -397,12 +433,9 @@ and register_demand_here t ~key ~fn ~window_ns ~param =
     (* Replay retained samples so a demand registered mid-run agrees
        with the scan from its first read; anything already outside the
        window is trimmed by the next expiry. *)
-    let seq = ref d.oldest_seq in
-    Ring.iter
-      (fun (_, v) ->
-        admit d !seq v;
-        incr seq)
-      e.samples;
+    for i = 0 to Sample_ring.length e.samples - 1 do
+      admit d (d.oldest_seq + i) (Sample_ring.value e.samples i)
+    done;
     e.demands <- d :: e.demands;
     t.n_demands <- t.n_demands + 1
 
@@ -442,13 +475,20 @@ let demand_shapes t =
 (* First ring index inside the window, found by binary search over the
    time-ordered samples — O(log n) instead of a full fold. *)
 let first_inside e ~now ~window_ns =
-  let cutoff = now - int_of_float window_ns in
-  Ring.bsearch_first (fun (at, _) -> at > cutoff) e.samples
+  Sample_ring.first_after e.samples (now - int_of_float window_ns)
+
+(* The values at ring indices [i0..], oldest first. *)
+let values_from e i0 =
+  let n = Sample_ring.length e.samples - i0 in
+  let xs = Array.make n 0. in
+  Sample_ring.blit_values e.samples i0 xs 0 n;
+  xs
 
 (* In-window (timestamp, value) pairs for one member, oldest first. *)
 let member_window e ~now ~window_ns =
   let i0 = first_inside e ~now ~window_ns in
-  Array.init (Ring.length e.samples - i0) (fun i -> Ring.get e.samples (i0 + i))
+  Array.init (Sample_ring.length e.samples - i0) (fun i ->
+      (Sample_ring.time e.samples (i0 + i), Sample_ring.value e.samples (i0 + i)))
 
 (* The merged window of a fleet-tier plain key: every member's
    in-window samples, sorted by timestamp. Each member's slice is
@@ -484,9 +524,11 @@ let window_values t ~key ~window_ns =
     | Some e ->
       let now = t.clock () in
       let cutoff = now - int_of_float window_ns in
-      Ring.fold
-        (fun acc (at, v) -> if at > cutoff then v :: acc else acc)
-        [] e.samples
+      let acc = ref [] in
+      for i = 0 to Sample_ring.length e.samples - 1 do
+        if Sample_ring.time e.samples i > cutoff then acc := Sample_ring.value e.samples i :: !acc
+      done;
+      !acc
 
 let window_samples t ~key ~window_ns =
   let t = resolve t key in
@@ -494,9 +536,7 @@ let window_samples t ~key ~window_ns =
   else
     match Hashtbl.find_opt t.entries key with
     | None -> [||]
-    | Some e ->
-      let i0 = first_inside e ~now:(t.clock ()) ~window_ns in
-      Array.init (Ring.length e.samples - i0) (fun i -> snd (Ring.get e.samples (i0 + i)))
+    | Some e -> values_from e (first_inside e ~now:(t.clock ()) ~window_ns)
 
 let samples_in_window t ~key ~window_ns =
   let t = resolve t key in
@@ -506,12 +546,12 @@ let samples_in_window t ~key ~window_ns =
       (fun acc m ->
         match Hashtbl.find_opt m.entries key with
         | None -> acc
-        | Some e -> acc + Ring.length e.samples - first_inside e ~now ~window_ns)
+        | Some e -> acc + Sample_ring.length e.samples - first_inside e ~now ~window_ns)
       0 (members t)
   else
     match Hashtbl.find_opt t.entries key with
     | None -> 0
-    | Some e -> Ring.length e.samples - first_inside e ~now:(t.clock ()) ~window_ns
+    | Some e -> Sample_ring.length e.samples - first_inside e ~now:(t.clock ()) ~window_ns
 
 let agg_name : Gr_dsl.Ast.agg -> string = function
   | Count -> "COUNT"
@@ -558,13 +598,14 @@ let naive_aggregate t ~key ~fn ~window_ns ~param =
 let demand_aggregate t e d ~window_ns ~param =
   let now = t.clock () in
   let expired = expire t e d ~now in
-  let base = e.pushes - Ring.length e.samples in
+  let base = e.pushes - Sample_ring.length e.samples in
+  let s = d.sums in
   let value, extra_scan =
     match d.fn with
     | Count -> (float_of_int d.count, 0)
-    | Sum -> (d.sum, 0)
-    | Rate -> (d.sum /. (window_ns /. 1e9), 0)
-    | Avg -> ((if d.count = 0 then 0. else d.sum /. float_of_int d.count), 0)
+    | Sum -> (s.sum, 0)
+    | Rate -> (s.sum /. (window_ns /. 1e9), 0)
+    | Avg -> ((if d.count = 0 then 0. else s.sum /. float_of_int d.count), 0)
     | Min | Max -> (
       (* Float.min/Float.max propagate NaN, so the naive scan answers
          NaN whenever one is in the window; the deque (which NaN never
@@ -578,27 +619,19 @@ let demand_aggregate t e d ~window_ns ~param =
       if d.count < 2 then (0., 0)
       else begin
         let n = float_of_int d.count in
-        let mean = d.sum /. n in
-        (sqrt (Float.max 0. ((d.sumsq /. n) -. (mean *. mean))), 0)
+        let mean = s.sum /. n in
+        (sqrt (Float.max 0. ((s.sumsq /. n) -. (mean *. mean))), 0)
       end
     | Delta ->
       if d.oldest_seq >= e.pushes then (0., 0)
-      else begin
-        let _, oldest = Ring.get e.samples (d.oldest_seq - base) in
-        let _, newest = Ring.get e.samples (Ring.length e.samples - 1) in
-        (newest -. oldest, 0)
-      end
+      else (latest e -. Sample_ring.value e.samples (d.oldest_seq - base), 0)
     | Quantile ->
       (* No O(1) summary ranks arbitrary quantiles exactly; instead
          of folding the whole ring, binary-search the cutoff and rank
          only the in-window suffix. *)
-      let i0 = first_inside e ~now ~window_ns:d.window_ns in
-      let n = Ring.length e.samples - i0 in
-      if n = 0 then (0., 0)
-      else begin
-        let xs = Array.init n (fun i -> snd (Ring.get e.samples (i0 + i))) in
-        (Stats.quantile xs param, n)
-      end
+      let xs = values_from e (first_inside e ~now ~window_ns:d.window_ns) in
+      let n = Array.length xs in
+      if n = 0 then (0., 0) else (Stats.quantile xs param, n)
   in
   { value; scanned = expired + extra_scan; incremental = true }
 
@@ -714,10 +747,17 @@ let export_here t ?now ~key ~fn ~window_ns ~param () =
     match streaming with
     | Some d -> (
       let expired = expire t e d ~now in
-      let base = e.pushes - Ring.length e.samples in
+      let base = e.pushes - Sample_ring.length e.samples in
+      let sample i = (Sample_ring.time e.samples i, Sample_ring.value e.samples i) in
       match d.fn with
       | Count | Sum | Rate | Avg | Stddev ->
-        ( { Merge.empty with count = d.count; sum = d.sum; sumsq = d.sumsq; nans = d.nans },
+        ( {
+            Merge.empty with
+            count = d.count;
+            sum = d.sums.sum;
+            sumsq = d.sums.sumsq;
+            nans = d.nans;
+          },
           expired,
           true )
       | Min | Max ->
@@ -741,21 +781,15 @@ let export_here t ?now ~key ~fn ~window_ns ~param () =
           ( {
               Merge.empty with
               count = d.count;
-              oldest = Some (Ring.get e.samples (d.oldest_seq - base));
-              newest = Some (Ring.get e.samples (Ring.length e.samples - 1));
+              oldest = Some (sample (d.oldest_seq - base));
+              newest = Some (sample (Sample_ring.length e.samples - 1));
             },
             expired,
             true )
       | Quantile ->
-        let i0 = first_inside e ~now ~window_ns in
-        let n = Ring.length e.samples - i0 in
-        ( {
-            Merge.empty with
-            count = n;
-            samples = Array.init n (fun i -> snd (Ring.get e.samples (i0 + i)));
-          },
-          expired + n,
-          true ))
+        let xs = values_from e (first_inside e ~now ~window_ns) in
+        let n = Array.length xs in
+        ({ Merge.empty with count = n; samples = xs }, expired + n, true))
     | None ->
       let win = member_window e ~now ~window_ns in
       let n = Array.length win in
@@ -921,12 +955,12 @@ let handle_load h =
     let s = h.lh_store in
     s.loads <- s.loads + 1;
     match h.lh_entry with
-    | Some e -> e.latest
+    | Some e -> latest e
     | None -> (
       match Hashtbl.find_opt s.entries h.lh_key with
       | Some e ->
         h.lh_entry <- Some e;
-        e.latest
+        latest e
       | None -> 0.)
   end
 
@@ -984,6 +1018,57 @@ let handle_aggregate h =
       aggregate_result h.ah_root ~key:h.ah_key ~fn:h.ah_fn ~window_ns:h.ah_window_ns
         ~param:h.ah_param
   end
+
+(* A writer is the write-side handle: it pins [save]'s routing and,
+   from its first write on, the key's entry, so a repeated save of one
+   key neither tests the key's scope nor hashes it. Like the read
+   handles it never creates an entry before it writes, and it checks
+   [topo_gen] on its root and resolved stores on every write. When
+   either moved, the writer re-pins and that one write takes the exact
+   [save] path. A write that [save] would hand to a [global_publish]
+   hook (a resolved store other than the root, while the root has a
+   hook) also goes through [save]; a plain key, pinned to the root
+   itself, stays on the fast path. *)
+type writer = {
+  w_root : t;
+  w_key : string;
+  mutable w_store : t; (* resolve w_root w_key, at the last pin *)
+  mutable w_entry : entry option;
+  mutable w_root_gen : int;
+  mutable w_store_gen : int;
+}
+
+let repin w =
+  let s = resolve w.w_root w.w_key in
+  w.w_store <- s;
+  w.w_entry <- None;
+  w.w_root_gen <- w.w_root.topo_gen;
+  w.w_store_gen <- s.topo_gen
+
+let writer t key =
+  let w =
+    { w_root = t; w_key = key; w_store = t; w_entry = None; w_root_gen = 0; w_store_gen = 0 }
+  in
+  repin w;
+  w
+
+let write w value =
+  let root = w.w_root and s = w.w_store in
+  if root.topo_gen <> w.w_root_gen || s.topo_gen <> w.w_store_gen then begin
+    repin w;
+    save root w.w_key value
+  end
+  else if s != root && Option.is_some root.global_publish then save root w.w_key value
+  else
+    let e =
+      match w.w_entry with
+      | Some e -> e
+      | None ->
+        let e = entry s w.w_key in
+        w.w_entry <- Some e;
+        e
+    in
+    save_entry s w.w_key e value
 
 let on_save t fn = Vec.push t.subscribers fn
 let save_count t = t.saves

@@ -5,9 +5,11 @@
     store is the single state channel between kernel instrumentation,
     learned-policy bookkeeping and monitors.
 
-    Each key holds its latest value plus a bounded ring of
-    timestamped samples (bounded memory is non-negotiable in-kernel;
-    the oldest samples are evicted first). Windowed aggregates are
+    Each key holds a bounded ring of timestamped samples, the newest
+    of which is its latest value (bounded memory is non-negotiable
+    in-kernel; the oldest samples are evicted first). The ring
+    ({!Gr_util.Sample_ring}) keeps times and values in flat arrays, so
+    a steady-state save stores nothing boxed. Windowed aggregates are
     computed over the samples whose timestamp falls within
     [(now - window, now]].
 
@@ -168,16 +170,32 @@ val aggregate :
 
 (** {1 Pre-resolved handles}
 
-    The JIT tier resolves a read's store routing, entry, and streaming
-    demand once at monitor install, reducing the per-check read to a
-    few loads and generation compares. Every key has a handle. Handle
-    reads are observationally identical to {!load}/{!aggregate_result}:
-    same counters, same trace instants, same values. A key that reads
-    as a cross-shard merge on the fleet tier has no single entry to
-    pin, so its handle always takes that generic path. Handles
-    self-invalidate — any later {!set_global_tier}/{!set_shards}, a
-    [set_force_naive true], or a released demand degrades the read to
-    the exact slow path rather than returning stale state. *)
+    Read and write handles resolve a key once instead of on every
+    access. No handle creates an entry before the key is written, so
+    {!mem} and {!keys} cannot tell that one exists.
+
+    {b Read handles.} The JIT tier resolves a read's store routing,
+    entry, and streaming demand once at monitor install, reducing the
+    per-check read to a few loads and generation compares. Every key
+    has a handle. Handle reads are observationally identical to
+    {!load}/{!aggregate_result}: same counters, same trace instants,
+    same values. A key that reads as a cross-shard merge on the fleet
+    tier has no single entry to pin, so its handle always takes that
+    generic path. Handles self-invalidate — any later
+    {!set_global_tier}/{!set_shards}, a [set_force_naive true], or a
+    released demand degrades the read to the exact slow path rather
+    than returning stale state.
+
+    {b Write handles.} A {!writer} pins {!save}'s routing for one key
+    and, from its first write on, the key's entry: callers that save
+    the same key over and over (hook forwarders, periodic derivations,
+    a monitor's SAVE action) skip the scope test and the hash lookup.
+    {!write} is observationally identical to {!save}: same counters,
+    same demand updates, same [store:<key>] counter event, same
+    subscriber order. A routing change ({!set_global_tier} or
+    {!set_shards} on the writer's store or the store it resolved to)
+    re-pins the writer and sends that write through {!save}; so does
+    any write a {!set_global_publish} hook would intercept. *)
 
 type load_handle
 
@@ -194,6 +212,15 @@ val agg_handle :
 val handle_aggregate : agg_handle -> agg_result
 (** Same result, counter effects and trace instant as
     [aggregate_result] with the handle's shape. *)
+
+type writer
+
+val writer : t -> string -> writer
+(** A write handle for [key] on [t]. Creating one has no effect on the
+    store. *)
+
+val write : writer -> float -> unit
+(** [write (writer t key) v] has the same effects as [save t key v]. *)
 
 val window_samples : t -> key:string -> window_ns:float -> float array
 (** The raw samples inside the window, oldest first. For

@@ -38,27 +38,7 @@ let get t i =
 let newest t = if t.len = 0 then None else Some (get t (t.len - 1))
 let oldest t = if t.len = 0 then None else Some (get t 0)
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (get t i)
-  done
-
-let fold f init t =
-  let acc = ref init in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
-
-let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
-
-let bsearch_first pred t =
-  (* Invariant: every index < lo fails [pred]; every index >= hi
-     satisfies it. *)
-  let lo = ref 0 and hi = ref t.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if pred (get t mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
+let to_list t = List.init t.len (get t)
 
 let drop_while_oldest pred t =
   let continue = ref true in

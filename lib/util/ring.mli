@@ -1,16 +1,15 @@
 (** Fixed-capacity ring buffer.
 
     Used for bounded histories everywhere state must not grow without
-    bound (feature-store sample windows, recent-latency features,
-    violation logs). Pushing into a full ring evicts the oldest
-    element. *)
+    bound (a monitor's state flips, recent-latency features, violation
+    logs). Pushing into a full ring evicts the oldest element.
+    Feature-store sample windows use {!Sample_ring} instead. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
 (** Requires [capacity > 0]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val clear : 'a t -> unit
@@ -25,21 +24,8 @@ val get : 'a t -> int -> 'a
 val newest : 'a t -> 'a option
 val oldest : 'a t -> 'a option
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest to newest. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Oldest to newest. *)
-
 val to_list : 'a t -> 'a list
 (** Oldest to newest. *)
-
-val bsearch_first : ('a -> bool) -> 'a t -> int
-(** [bsearch_first pred t] is the smallest index [i] with
-    [pred (get t i)], or [length t] if no element satisfies it.
-    Requires [pred] to be monotone over the ring order (false…false
-    true…true) — e.g. a time-window cutoff over timestamped samples
-    pushed in clock order. O(log length). *)
 
 val drop_while_oldest : ('a -> bool) -> 'a t -> unit
 (** Evicts oldest elements while the predicate holds; used to expire

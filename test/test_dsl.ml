@@ -345,6 +345,37 @@ let global_guardrail_roundtrip_property =
       | Ok [ g2 ] -> Gen.strip_guardrail g2 = Gen.strip_guardrail g
       | Ok _ -> false)
 
+(* [is_global_key] compares the prefix in place; it must agree with
+   the allocating definition it replaced on strings built around the
+   prefix: empty, the exact prefix, one character short of it, the
+   prefix with a suffix, one character changed, and the prefix
+   embedded later in the string. *)
+let global_key_reference key =
+  let n = String.length Ast.global_prefix in
+  String.length key >= n && String.sub key 0 n = Ast.global_prefix
+
+let is_global_key_property =
+  let open QCheck2.Gen in
+  let p = Ast.global_prefix in
+  let n = String.length p in
+  let piece = string_size ~gen:(oneofl [ 'g'; 'l'; ':'; 'x'; 'o' ]) (int_range 0 4) in
+  let key =
+    oneof
+      [
+        pure "";
+        pure p;
+        map (fun k -> String.sub p 0 k) (int_range 0 (n - 1));
+        map (fun s -> p ^ s) piece;
+        map2 (fun s k -> String.sub p 0 k ^ s) piece (int_range 0 n);
+        map2
+          (fun i c -> String.mapi (fun j x -> if j = i then c else x) p)
+          (int_range 0 (n - 1)) printable;
+        map2 (fun a b -> a ^ p ^ b) (string_size ~gen:printable (int_range 1 4)) piece;
+      ]
+  in
+  QCheck2.Test.make ~name:"is_global_key agrees with the String.sub definition" ~count:500
+    ~print:(Printf.sprintf "%S") key (fun k -> Ast.is_global_key k = global_key_reference k)
+
 let test_global_key_syntax () =
   let spec =
     parse_ok
@@ -426,5 +457,6 @@ let suite =
         QCheck_alcotest.to_alcotest roundtrip_property;
         QCheck_alcotest.to_alcotest guardrail_roundtrip_property;
         QCheck_alcotest.to_alcotest global_guardrail_roundtrip_property;
+        QCheck_alcotest.to_alcotest is_global_key_property;
       ] );
   ]

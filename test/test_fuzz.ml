@@ -19,7 +19,10 @@
 
    Every case derives from a pinned seed ([0x5EED + i]), so CI runs
    the exact same 500 programs every time and a failure message
-   identifies the case by index alone. *)
+   identifies the case by index alone. Odd cases feed their stores
+   through write handles ({!Store.writer}) instead of saves by key,
+   so the streaming state every tier reads is also built by the
+   pinned write path. *)
 
 module Store = Gr_runtime.Feature_store
 module Vm = Gr_runtime.Vm
@@ -155,6 +158,14 @@ let close a b =
 
 let fuzz_keys = [| "lat"; "rate"; "depth"; "err"; "load_avg" |]
 
+(* How case [i] writes [fuzz_keys.(k)] into [store]: by key on even
+   cases, through writers created up front on odd ones. *)
+let fuzz_saver i store =
+  if i mod 2 = 0 then fun k v -> Store.save store fuzz_keys.(k) v
+  else
+    let writers = Array.map (Store.writer store) fuzz_keys in
+    fun k v -> Store.write writers.(k) v
+
 (* Runs [exec] and pairs its result with the load/hit/miss counter
    deltas it caused, summed over [stores]. *)
 let counted stores exec =
@@ -231,14 +242,14 @@ let run_sharded_arm i ~src opts failures =
   let before_sharding = compile_all () in
   Store.set_shards root shards;
   List.iter (register_demands root) opts;
-  let targets = Array.of_list members in
+  let targets = Array.of_list (List.map (fuzz_saver i) members) in
   for _ = 1 to 400 do
     clock := Time_ns.add !clock (Time_ns.us (1 + Rng.int rng 4999));
     let v = if Rng.int rng 50 = 0 then Float.nan else float_of_int (Rng.int rng 17) in
-    Store.save
-      targets.(Rng.int rng (Array.length targets))
-      fuzz_keys.(Rng.int rng (Array.length fuzz_keys))
-      v
+    (* key before target: the draw order the pinned cases were
+       recorded with *)
+    let k = Rng.int rng (Array.length fuzz_keys) in
+    targets.(Rng.int rng (Array.length targets)) k v
   done;
   compare "sharded" before_sharding;
   let before_unsharding = compile_all () in
@@ -282,10 +293,11 @@ let run_case i failures =
     let store = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:1024 () in
     List.iter (register_demands store) opts;
     let rng = Rng.create (0xD1FF + i) in
+    let save = fuzz_saver i store in
     for _ = 1 to 400 do
       clock := Time_ns.add !clock (Time_ns.us (1 + Rng.int rng 4999));
       let v = if Rng.int rng 50 = 0 then Float.nan else float_of_int (Rng.int rng 17) in
-      Store.save store fuzz_keys.(Rng.int rng (Array.length fuzz_keys)) v
+      save (Rng.int rng (Array.length fuzz_keys)) v
     done;
     List.iter2
       (fun (om : Monitor.t) (rm : Monitor.t) ->

@@ -382,6 +382,160 @@ let test_merge_shard_boundary_eviction () =
   check_float "delta after cross-shard retirement" 1.
     (Store.aggregate fleet ~key:"k" ~fn:Gr_dsl.Ast.Delta ~window_ns:1e9 ~param:0.)
 
+(* ---------- write handles ---------- *)
+
+(* One side of [writer_equivalence_property]: a node store (the store
+   the writes name), the fleet tier its GLOBAL keys can route to, and
+   two shard stores either of them can be declared the fleet tier
+   over. Every on_save notification and every intercepted global
+   publish goes to one log, in order. *)
+type writer_side = {
+  node : Store.t;
+  tier : Store.t;
+  shards : Store.t array;
+  log : (string * string * float) list ref;
+}
+
+let writer_keys = [| "a"; "b"; Gr_dsl.Ast.global_key "g"; Gr_dsl.Ast.global_key "h" |]
+
+let writer_shapes =
+  List.concat_map
+    (fun key ->
+      List.map
+        (fun fn -> (key, fn, 1e9, if fn = Gr_dsl.Ast.Quantile then 0.9 else 0.))
+        all_aggs)
+    (Array.to_list writer_keys)
+
+let writer_side ~clock ~capacity =
+  let mk () = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:capacity () in
+  let side = { node = mk (); tier = mk (); shards = [| mk (); mk () |]; log = ref [] } in
+  let watch name s = Store.on_save s (fun k v -> side.log := (name, k, v) :: !(side.log)) in
+  watch "node" side.node;
+  watch "tier" side.tier;
+  Array.iteri (fun i s -> watch (Printf.sprintf "shard%d" i) s) side.shards;
+  List.iter
+    (fun (key, fn, window_ns, param) -> Store.register_demand side.node ~key ~fn ~window_ns ~param)
+    writer_shapes;
+  side
+
+(* Writes through handles created up front must be indistinguishable
+   from saves by string, while routing changes under them: GLOBAL
+   keys move to and from a fleet tier, either store becomes a fleet
+   tier over shards and back, and a parallel-fleet publish hook comes
+   and goes. Small capacities run wrap-around and the eviction-time
+   retirement of every demand. After every op both sides must agree
+   on loads, every registered shape's aggregate result, save counts,
+   [mem], [keys] and the ordered notification log. *)
+let writer_equivalence_property =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        ( 8,
+          map3
+            (fun k v dt -> `Save (k, v, dt))
+            (int_range 0 (Array.length writer_keys - 1))
+            (frequency
+               [ (12, map float_of_int (int_range 0 16)); (1, pure Float.nan); (1, pure 1e12) ])
+            (int_range 0 400_000_000) );
+        (1, map (fun on -> `Tier on) bool);
+        (1, map2 (fun on_tier on -> `Shards (on_tier, on)) bool bool);
+        (1, map (fun on -> `Publish on) bool);
+      ]
+  in
+  let gen = pair (int_range 1 8) (list_size (int_range 1 80) op) in
+  QCheck2.Test.make ~name:"writers are indistinguishable from save" ~count:300 gen
+    (fun (capacity, ops) ->
+      let clock = ref 0 in
+      let a = writer_side ~clock ~capacity and b = writer_side ~clock ~capacity in
+      let writers = Array.map (Store.writer b.node) writer_keys in
+      let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let agree () =
+        Array.for_all
+          (fun key -> same_float (Store.load a.node key) (Store.load b.node key))
+          writer_keys
+        && List.for_all
+             (fun (key, fn, window_ns, param) ->
+               let ra = Store.aggregate_result a.node ~key ~fn ~window_ns ~param
+               and rb = Store.aggregate_result b.node ~key ~fn ~window_ns ~param in
+               same_float ra.value rb.value
+               && ra.scanned = rb.scanned
+               && ra.incremental = rb.incremental)
+             writer_shapes
+        && List.for_all2
+             (fun x y -> Store.save_count x = Store.save_count y)
+             (a.node :: a.tier :: Array.to_list a.shards)
+             (b.node :: b.tier :: Array.to_list b.shards)
+        && Array.for_all (fun key -> Store.mem a.node key = Store.mem b.node key) writer_keys
+        && Store.keys a.node = Store.keys b.node
+        && Store.keys a.tier = Store.keys b.tier
+        && List.equal
+             (fun (s, k, v) (s', k', v') -> s = s' && k = k' && same_float v v')
+             !(a.log) !(b.log)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Save (k, v, dt) ->
+            clock := !clock + dt;
+            Store.save a.node writer_keys.(k) v;
+            Store.write writers.(k) v
+          | `Tier on ->
+            List.iter
+              (fun s -> Store.set_global_tier s.node (if on then s.tier else s.node))
+              [ a; b ]
+          | `Shards (on_tier, on) ->
+            List.iter
+              (fun s ->
+                Store.set_shards (if on_tier then s.tier else s.node)
+                  (if on then s.shards else [||]))
+              [ a; b ]
+          | `Publish on ->
+            List.iter
+              (fun s ->
+                Store.set_global_publish s.node
+                  (if on then Some (fun k v -> s.log := ("publish", k, v) :: !(s.log)) else None))
+              [ a; b ]);
+          agree ())
+        ops)
+
+(* The steady-state write path keeps nothing it allocates: a full key
+   with every streaming shape but MIN/MAX registered (their monotonic
+   deques hold boxed pairs) is written 10k times through a handle. The
+   only allocation left is the evicted sample's value, boxed once to
+   hand to the demands as it retires. Native code only: bytecode boxes
+   every float. *)
+let test_write_allocation_bound () =
+  if Sys.backend_type = Sys.Native then begin
+    let clock = ref 0 in
+    let store = Store.create ~clock:(fun () -> !clock) ~capacity_per_key:256 () in
+    List.iter
+      (fun (fn, param) -> Store.register_demand store ~key:"k" ~fn ~window_ns:1e12 ~param)
+      [ (Gr_dsl.Ast.Avg, 0.); (Sum, 0.); (Count, 0.); (Stddev, 0.); (Delta, 0.); (Quantile, 0.9) ];
+    Store.on_save store (fun _ _ -> ());
+    let w = Store.writer store "k" in
+    (* Boxed up front, so the loop below passes existing boxes. *)
+    let values = Array.init 64 (fun i -> ref (float_of_int i)) in
+    let write i =
+      clock := !clock + 1000;
+      Store.write w !(values.(i land 63))
+    in
+    for i = 1 to 1000 do
+      write i
+    done;
+    let n = 10_000 in
+    let minor0 = Gc.minor_words () and promoted0 = (Gc.quick_stat ()).promoted_words in
+    for i = 1 to n do
+      write i
+    done;
+    let minor = (Gc.minor_words () -. minor0) /. float_of_int n
+    and promoted = ((Gc.quick_stat ()).promoted_words -. promoted0) /. float_of_int n in
+    check_bool (Printf.sprintf "minor words per write (%.2f) <= 2" minor) true (minor <= 2.01);
+    check_bool (Printf.sprintf "promoted words per write (%.2f) <= 0.01" promoted) true
+      (promoted <= 0.01);
+    check_int "every write counted" (n + 1000) (Store.save_count store)
+  end
+
 (* ---------- VM ---------- *)
 
 let compile_rule src =
@@ -772,6 +926,11 @@ let suite =
         QCheck_alcotest.to_alcotest merge_equivalence_property;
         Alcotest.test_case "union laws" `Quick test_merge_union_laws;
         Alcotest.test_case "shard-boundary eviction" `Quick test_merge_shard_boundary_eviction;
+      ] );
+    ( "runtime.store.writer",
+      [
+        QCheck_alcotest.to_alcotest writer_equivalence_property;
+        Alcotest.test_case "allocation bound" `Quick test_write_allocation_bound;
       ] );
     ( "runtime.vm",
       [

@@ -1,4 +1,4 @@
-(* Tests for gr_util: PRNG, ring buffer, heap, statistics. *)
+(* Tests for gr_util: PRNG, ring buffers, heap, statistics. *)
 
 open Gr_util
 
@@ -155,30 +155,83 @@ let test_ring_invalid_capacity () =
   Alcotest.check_raises "zero capacity" (Invalid_argument "Ring.create: capacity must be positive")
     (fun () -> ignore (Ring.create ~capacity:0 : int Ring.t))
 
-let test_ring_bsearch_first () =
-  let r = Ring.create ~capacity:4 in
-  check_int "empty ring" 0 (Ring.bsearch_first (fun _ -> true) r);
+(* ---------- Sample_ring ---------- *)
+
+let sample_ring_of ~capacity times =
+  let r = Sample_ring.create ~capacity in
+  List.iter (fun at -> Sample_ring.push r at (float_of_int at)) times;
+  r
+
+let linear_first_after r cutoff =
+  let rec go i =
+    if i >= Sample_ring.length r || Sample_ring.time r i > cutoff then i else go (i + 1)
+  in
+  go 0
+
+let test_sample_ring_cutoff_search () =
+  let r = Sample_ring.create ~capacity:4 in
+  check_int "empty ring" 0 (Sample_ring.first_after r 0);
   for i = 1 to 10 do
-    Ring.push r (i * 10)
+    Sample_ring.push r (i * 10) 0.
   done;
   (* Retained (after wrap): 70, 80, 90, 100. *)
-  check_int "all satisfy" 0 (Ring.bsearch_first (fun x -> x > 0) r);
-  check_int "none satisfy" 4 (Ring.bsearch_first (fun x -> x > 100) r);
-  check_int "first above cutoff" 2 (Ring.bsearch_first (fun x -> x > 80) r);
-  check_int "boundary inclusive" 1 (Ring.bsearch_first (fun x -> x >= 80) r)
+  check_int "all after" 0 (Sample_ring.first_after r 0);
+  check_int "none after" 4 (Sample_ring.first_after r 100);
+  check_int "first above cutoff" 2 (Sample_ring.first_after r 80);
+  check_int "boundary exclusive" 1 (Sample_ring.first_after r 79)
 
-let ring_bsearch_property =
-  QCheck2.Test.make ~name:"ring bsearch_first agrees with linear scan" ~count:300
+(* Every fill level of rings that start below their capacity and grow
+   (capacities past the initial allocation) as well as small ones, up
+   to three wraps: contents, order and the cutoff search must match a
+   plain list of the last [capacity] pushes. *)
+let test_sample_ring_every_fill_level () =
+  List.iter
+    (fun capacity ->
+      for n = 0 to (3 * capacity) + 1 do
+        (* two pushes per timestamp, so ties sit on every boundary *)
+        let times = List.init n (fun i -> i / 2) in
+        let r = sample_ring_of ~capacity times in
+        let kept = List.filteri (fun i _ -> i >= n - capacity) times in
+        let ctx = Printf.sprintf "capacity %d, %d pushes" capacity n in
+        check_int (ctx ^ ": length") (List.length kept) (Sample_ring.length r);
+        check_bool (ctx ^ ": full") (n >= capacity) (Sample_ring.is_full r);
+        List.iteri
+          (fun i at ->
+            check_int (ctx ^ ": time") at (Sample_ring.time r i);
+            check_float (ctx ^ ": value") (float_of_int at) (Sample_ring.value r i))
+          kept;
+        for cutoff = -1 to (n / 2) + 1 do
+          check_int
+            (Printf.sprintf "%s: first_after %d" ctx cutoff)
+            (linear_first_after r cutoff) (Sample_ring.first_after r cutoff)
+        done
+      done)
+    [ 1; 2; 3; 5; 8; 16; 17; 33; 64; 100 ]
+
+let test_sample_ring_blit_and_bounds () =
+  let r = sample_ring_of ~capacity:5 [ 1; 2; 3; 4; 5; 6; 7 ] in
+  let dst = Array.make 4 0. in
+  Sample_ring.blit_values r 1 dst 1 3;
+  Alcotest.(check (array (float 0.))) "blit across the wrap" [| 0.; 4.; 5.; 6. |] dst;
+  Alcotest.check_raises "time out of range"
+    (Invalid_argument "Sample_ring.time: index out of range") (fun () ->
+      ignore (Sample_ring.time r 5 : int));
+  Alcotest.check_raises "value out of range"
+    (Invalid_argument "Sample_ring.value: index out of range") (fun () ->
+      ignore (Sample_ring.value r (-1) : float));
+  Alcotest.check_raises "blit out of range"
+    (Invalid_argument "Sample_ring.blit_values: range out of bounds") (fun () ->
+      Sample_ring.blit_values r 3 dst 0 3);
+  Alcotest.check_raises "zero capacity"
+    (Invalid_argument "Sample_ring.create: capacity must be positive") (fun () ->
+      ignore (Sample_ring.create ~capacity:0 : Sample_ring.t))
+
+let sample_ring_cutoff_property =
+  QCheck2.Test.make ~name:"sample_ring first_after agrees with linear scan" ~count:300
     QCheck2.Gen.(triple (int_range 1 20) (list (int_range 0 100)) (int_range 0 100))
     (fun (cap, xs, cutoff) ->
-      let r = Ring.create ~capacity:cap in
-      List.iter (Ring.push r) (List.sort Int.compare xs);
-      let pred x = x > cutoff in
-      let linear =
-        let rec go i = if i >= Ring.length r then i else if pred (Ring.get r i) then i else go (i + 1) in
-        go 0
-      in
-      Ring.bsearch_first pred r = linear)
+      let r = sample_ring_of ~capacity:cap (List.sort Int.compare xs) in
+      Sample_ring.first_after r cutoff = linear_first_after r cutoff)
 
 (* ---------- Vec ---------- *)
 
@@ -456,9 +509,14 @@ let suite =
         Alcotest.test_case "clear" `Quick test_ring_clear;
         Alcotest.test_case "wraparound order" `Quick test_ring_wraparound_order;
         Alcotest.test_case "invalid capacity" `Quick test_ring_invalid_capacity;
-        Alcotest.test_case "bsearch_first" `Quick test_ring_bsearch_first;
         QCheck_alcotest.to_alcotest ring_property;
-        QCheck_alcotest.to_alcotest ring_bsearch_property;
+      ] );
+    ( "util.sample_ring",
+      [
+        Alcotest.test_case "cutoff search" `Quick test_sample_ring_cutoff_search;
+        Alcotest.test_case "every fill level" `Quick test_sample_ring_every_fill_level;
+        Alcotest.test_case "blit and bounds" `Quick test_sample_ring_blit_and_bounds;
+        QCheck_alcotest.to_alcotest sample_ring_cutoff_property;
       ] );
     ( "util.vec",
       [
