@@ -33,7 +33,8 @@ bench-smoke:
 	dune exec bench/main.exe -- verify --smoke
 
 # Bounded chaos soak: every scenario x seeds 1-7 with generated fault
-# plans, invariants checked after every sim event (docs/TESTING.md).
+# plans, invariants checked after every sim event (single node) or at
+# every epoch barrier (fleets) (docs/TESTING.md).
 # Failures print a `grc soak --plan ...` repro line and exit non-zero.
 soak-smoke:
 	dune exec bin/grc.exe -- soak --smoke
@@ -47,10 +48,10 @@ fleet-smoke:
 	dune exec bench/main.exe -- fleet
 	dune exec bin/grc.exe -- soak --scenario fleet --nodes 4 --runs 3 --duration 0.5
 
-# Parallel-runtime smoke (docs/PARALLEL.md): `--domains 1` must be
-# byte-identical to the sequential path (trace + stdout diff), a
-# `--domains 2` run must complete clean, and the fleet chaos soak
-# must hold its invariants with node event streams on two domains.
+# Parallel-runtime smoke (docs/PARALLEL.md): `--domains 2` must be
+# byte-identical to `--domains 1` (trace + stdout diff), and the
+# fleet chaos soak must hold its invariants with node event streams
+# on two domains.
 par-smoke: build
 	sh scripts/par_smoke.sh
 

@@ -71,15 +71,15 @@ let run_fleet_with ~nodes ~monitors ~domains =
     wall,
     Common.compact_monitors_json (Guardrails.Fleet.control fleet) )
 
-(* The sweep is (nodes, monitors, domains) triples: the historical
-   sequential grid, plus a wide-fleet parallel grid (up to 64 nodes)
-   that exercises the epoch-barrier runtime at every domain count.
-   Speedup on a multi-core host comes from the node phases running
+(* The sweep is (nodes, monitors, domains) triples: a one-domain
+   grid, plus a wide-fleet grid (up to 64 nodes) at every domain
+   count. Every row runs the same epoch runtime, so speedup on a
+   multi-core host comes only from the node phases running
    concurrently; Common.host_cores stamps the ceiling. *)
 let fleet_counts () =
   if !Common.smoke then [ (1, 1, 1); (2, 10, 1); (2, 10, 2) ]
   else
-    let sequential =
+    let one_domain =
       List.concat_map
         (fun n -> List.map (fun m -> (n, m, 1)) [ 1; 10; 50 ])
         [ 1; 2; 4; 8 ]
@@ -89,7 +89,7 @@ let fleet_counts () =
         (fun (n, m) -> List.map (fun d -> (n, m, d)) [ 1; 2; 4; 8 ])
         [ (16, 10); (64, 10); (64, 50) ]
     in
-    sequential @ parallel
+    one_domain @ parallel
 
 let run ~json =
   if not json then begin

@@ -547,12 +547,11 @@ let domains_arg ~cmd =
     & info [ "domains" ] ~docv:"K|auto"
         ~doc:
           (Printf.sprintf
-             "OCaml domains for fleet execution (default 1). With K > 1, $(b,%s) runs each \
-              node's kernel on its own domain under the deterministic epoch-barrier protocol \
-              (see docs/PARALLEL.md): identical REPORTs, actions and merged-store state for \
-              every K, only wall-clock changes. $(b,auto) resolves to the runtime's \
-              recommended domain count clamped to --nodes. Clamped to the node count; 1 is \
-              bit-identical to the historical sequential path."
+             "Number of OCaml domains the fleet nodes of $(b,%s) run on (default 1). Every \
+              K runs the same deterministic epoch runtime (see docs/PARALLEL.md) and yields \
+              byte-identical traces, REPORTs, actions and merged-store state; only \
+              wall-clock changes. $(b,auto) resolves to the runtime's recommended domain \
+              count. Clamped to the node count."
              cmd))
 
 let run_cmd =

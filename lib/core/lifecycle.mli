@@ -39,8 +39,8 @@
     Decisions happen only at epoch barriers — registered
     automatically via {!Fleet.add_barrier_hook} for fleet targets,
     or driven by {!Gr_sim.Engine.run_chunked} (or manually via
-    {!barrier}) for single-deployment targets. At a barrier node
-    domains are parked and the control engine is quiescent, so
+    {!barrier}) for single-deployment targets. At a barrier the
+    nodes are parked and the control engine is quiescent, so
     installs never race checks.
 
     Concurrent pushes are serialized: while a version is staged or

@@ -78,12 +78,10 @@ type built = {
   b_retrain_runs : int ref;
   b_anomalies : string list ref;
   b_fleet : Guardrails.Fleet.t option;
-      (** parallel fleets drive via {!Guardrails.Fleet.run_epochs}
-          instead of stepping one shared engine *)
+      (** fleets drive via {!Guardrails.Fleet.run_epochs} instead of
+          stepping one engine *)
   b_lifecycle : Guardrails.Lifecycle.t option;
-      (** the serve scenario's rollout state machine; its targets also
-          drive via run_epochs so barrier hooks (the promotion
-          decision points) fire *)
+      (** the serve scenario's rollout state machine *)
 }
 
 let blk_spec =
@@ -315,19 +313,25 @@ guardrail fleet-pressure {
 }
 |}
 
-(* Three single-device nodes on one shared clock; fleet guardrails
+(* The fleet scenario's epoch: the soak checks its invariants at every
+   epoch barrier, and at 100us a 4-node fleet with ~400 IO/s per node
+   reaches a barrier more often than it dispatches a sim event. *)
+let fleet_epoch = Time_ns.us 100
+
+(* Three two-device nodes on one fleet clock; fleet guardrails
    aggregate the merged latency stream and act through the broadcast
    REPLACE proxy. The injector targets node 0 exclusively (see
    [caps_of]), so surviving shards keep feeding the merged view while
    one member is dead or lying. *)
 let build_fleet ~engine ~nodes ~domains ~seed ~duration =
   let fleet =
-    Guardrails.Fleet.create ~nodes ~seed ~store_capacity:1024 ~tracing:true ~domains ?engine ()
+    Guardrails.Fleet.create ~nodes ~seed ~store_capacity:1024 ~tracing:true ~domains
+      ~epoch:fleet_epoch ?engine ()
   in
   let n = Guardrails.Fleet.node_count fleet in
   (* The broadcast REPLACE proxy flips every node's slot in one action
      execution, so "all slots on fallback" tracks the fleet action
-     exactly; checks only run between sim events. *)
+     exactly; checks only run at epoch barriers. *)
   let expected_fallback = ref false in
   let slots = ref [] in
   let node_devices = ref [||] and node_blk = ref None in
@@ -375,16 +379,12 @@ let build_fleet ~engine ~nodes ~domains ~seed ~duration =
          Guardrails.Fleet.save_global fleet "pressure"
            (if Float.is_nan avg then 0. else avg /. 1000.))
       : Gr_sim.Engine.handle);
+  (* The injector runs inside node 0's event stream, which may run on
+     another domain than the control engine, so its fault trace events
+     go to node 0's tracer. *)
   let node0 = Guardrails.Fleet.node fleet 0 in
-  (* The injector runs inside node 0's event stream. In parallel mode
-     that stream executes on node 0's own domain, so fault trace events
-     must go to node 0's tracer — writing the control tracer from
-     another domain would race with the control engine's own events. *)
-  let inj_tracer =
-    if Guardrails.Fleet.domains fleet > 1 then D.tracer node0 else D.tracer control
-  in
   let inj =
-    Injector.create ~kernel:(D.kernel node0) ~tracer:inj_tracer ~store:(D.store node0)
+    Injector.create ~kernel:(D.kernel node0) ~tracer:(D.tracer node0) ~store:(D.store node0)
       ~devices:!node_devices ?blk:!node_blk ~seed ()
   in
   {
@@ -601,11 +601,8 @@ let build_serve ~engine ~nodes ~domains ~seed ~duration =
       if count "rollout.rollback" <> L.rollbacks lc then
         push_anomaly "audit log rollback events diverge from the machine's rollback count");
   let node0 = Guardrails.Fleet.node fleet 0 in
-  let inj_tracer =
-    if Guardrails.Fleet.domains fleet > 1 then D.tracer node0 else D.tracer control
-  in
   let inj =
-    Injector.create ~kernel:(D.kernel node0) ~tracer:inj_tracer ~store:(D.store node0)
+    Injector.create ~kernel:(D.kernel node0) ~tracer:(D.tracer node0) ~store:(D.store node0)
       ~devices:!node_devices ?blk:!node_blk ~seed ()
   in
   {
@@ -762,19 +759,23 @@ let run_one ?extra_source ?nodes ?domains ?engine ~scenario ~seed ~duration ~pla
   let events = ref 0 in
   (try
      match b.b_fleet with
-     | Some fleet when Guardrails.Fleet.domains fleet > 1 || Option.is_some b.b_lifecycle ->
-       (* Parallel fleet: the per-event stepping loop has no meaning
-          across domains, so invariants are checked at every epoch
-          barrier instead — the only points where node state is
-          quiescent and safe to read from here. Lifecycle targets
-          also drive through run_epochs (at any domain count): the
-          epoch barriers are their promotion decision points, and
-          the scenario's own invariant hook rides the same barrier. *)
+     | Some fleet ->
+       (* A fleet's engines advance together, so invariants are
+          checked at every epoch barrier — the points where every
+          node is parked and safe to read from here. The barriers are
+          also the serve scenario's promotion decision points, and its
+          own invariant hook rides them. *)
+       let oracle_due = ref 0 in
        Guardrails.Fleet.run_epochs fleet duration ~on_barrier:(fun _ ->
            check_cheap ();
-           check_oracle ());
+           (* The oracle, like the stepping loop's, after every 64 events. *)
+           let fired = Guardrails.Fleet.events_fired fleet in
+           if fired >= !oracle_due then begin
+             check_oracle ();
+             oracle_due := fired + 64
+           end);
        events := Guardrails.Fleet.events_fired fleet
-     | Some _ | None ->
+     | None ->
        let engine = b.b_kernel.engine in
        let continue = ref true in
        while !continue do

@@ -80,12 +80,12 @@ val run_one :
     its end state is reported in [slots] — this is what makes
     [grc verify] counterexample schedules executable end to end.
     [nodes] (default 3) sizes the ["fleet"] scenario and is ignored
-    by the single-node scenarios. [domains] (default 1) runs the
-    ["fleet"] scenario in parallel epoch-barrier mode
-    (docs/PARALLEL.md); the invariant checks then run at every epoch
-    barrier — the only quiescent points — instead of after every sim
-    event, and the injector's fault traces land on node 0's tracer
-    channel. Ignored by the single-node scenarios. [engine]
+    by the single-node scenarios. Fleet scenarios run on the epoch
+    runtime (docs/PARALLEL.md) with [domains] (default 1) domains;
+    their invariant checks run at every epoch barrier (the ["fleet"]
+    scenario's epochs are 100us) rather than after every sim event,
+    and the injector's fault traces land on node 0's tracer channel.
+    Ignored by the single-node scenarios. [engine]
     selects the monitor execution tier for every deployment the
     scenario builds (default: the JIT tier) — the two tiers are
     bit-identical, so a soak failure reproduces under either unless
@@ -95,7 +95,7 @@ type failure = {
   scenario : string;
   seed : int;
   duration : Gr_util.Time_ns.t;
-  domains : int;  (** execution mode the failure reproduced under *)
+  domains : int;  (** domain count the failure reproduced under *)
   plan : Fault.plan;  (** as generated *)
   shrunk : Fault.plan;  (** minimal still-failing subset *)
   problems : string list;

@@ -117,41 +117,60 @@ let rec step t =
       true
     end
 
-let run_until t limit =
+(* Fires every event stamped at or before [last]; clocks are integer
+   nanoseconds, so "strictly before t" is "at or before t - 1". *)
+let fire_through t last =
   let continue = ref true in
   while !continue do
     match next_event_time t with
-    | Some time when Time_ns.compare time limit <= 0 -> ignore (step t : bool)
+    | Some time when Time_ns.compare time last <= 0 -> ignore (step t : bool)
     | Some _ | None -> continue := false
-  done;
-  if Time_ns.compare t.clock limit < 0 then t.clock <- limit
+  done
+
+let advance_clock t limit = if Time_ns.compare t.clock limit < 0 then t.clock <- limit
+
+let run_until t limit =
+  fire_through t limit;
+  advance_clock t limit
+
+(* Events stamped exactly [limit] stay queued while the clock reads
+   [limit]: a node parked this way sees control-phase work scheduled
+   on it land at the control event's time. *)
+let run_before t limit =
+  fire_through t (limit - 1);
+  advance_clock t limit
 
 let run t = while step t do () done
 
-let run_epochs ~pool ~epoch ~limit ~at_barrier engines =
-  (* Lock-step epoch driver for the parallel fleet (docs/PARALLEL.md):
-     every engine in [engines] advances to the same epoch boundary on
-     the pool — each owns a disjoint event set, so the only sharing is
-     the barrier itself — then [at_barrier] runs sequentially on the
-     calling domain to apply buffered cross-engine effects and advance
-     whatever sequential engine (the fleet's control plane) rides
-     between the boundaries. Determinism does not depend on the pool's
-     task-to-domain mapping because each engine's event stream is
-     node-local by construction. *)
+let run_epochs ~pool ~epoch ~limit ~control ~sync ~at_barrier engines =
+  (* The fleet's one scheduling rule (docs/PARALLEL.md): a node phase
+     never passes the control engine's next event [tc], so control
+     reads exact node state and goes first on ties. *)
   if Time_ns.compare epoch Time_ns.zero <= 0 then
     invalid_arg "Engine.run_epochs: epoch must be positive";
   let n = Array.length engines in
-  let start = Array.fold_left (fun acc e -> Time_ns.max acc (now e)) Time_ns.zero engines in
-  let t = ref start in
+  let t = ref (now control) in
   while Time_ns.compare !t limit < 0 do
     let boundary = Time_ns.min (Time_ns.add !t epoch) limit in
-    Pool.run pool (fun i -> run_until engines.(i) boundary) n;
+    let rec phase () =
+      match next_event_time control with
+      | Some tc when Time_ns.compare tc boundary <= 0 ->
+        Pool.run pool (fun i -> run_before engines.(i) tc) n;
+        sync tc;
+        run_until control tc;
+        phase ()
+      | Some _ | None ->
+        Pool.run pool (fun i -> run_until engines.(i) boundary) n;
+        sync boundary;
+        run_until control boundary
+    in
+    phase ();
     at_barrier boundary;
     t := boundary
   done
 
 let run_chunked t ~epoch ~limit ~at_barrier =
-  (* Single-engine sibling of [run_epochs]: advance one engine in
+  (* Single-engine counterpart of [run_epochs]: advance one engine in
      epoch-sized chunks, calling [at_barrier] at every boundary.
      Because [run_until] fires every event <= the boundary and then
      just clamps the clock, the event stream (and any trace of it) is

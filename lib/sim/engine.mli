@@ -75,18 +75,36 @@ val run_epochs :
   pool:Pool.t ->
   epoch:Gr_util.Time_ns.t ->
   limit:Gr_util.Time_ns.t ->
+  control:t ->
+  sync:(Gr_util.Time_ns.t -> unit) ->
   at_barrier:(Gr_util.Time_ns.t -> unit) ->
   t array ->
   unit
-(** [run_epochs ~pool ~epoch ~limit ~at_barrier engines] advances all
-    [engines] in lock-step sim-time epochs: each epoch, every engine
-    is [run_until] the next boundary in parallel on [pool], then
-    [at_barrier boundary] runs sequentially on the calling domain.
-    This is the parallel fleet's substrate (docs/PARALLEL.md): engines
-    must own disjoint event sets and buffer any cross-engine effect
-    for the barrier callback. Epochs start at the max of the engines'
-    clocks and the last boundary is exactly [limit]. Requires
-    [epoch > 0]. @raise Invalid_argument otherwise. *)
+(** [run_epochs ~pool ~epoch ~limit ~control ~sync ~at_barrier engines]
+    is the fleet runtime (docs/PARALLEL.md): the node [engines] advance
+    in parallel on [pool] and the [control] engine runs on the calling
+    domain between node phases, in sim-time epochs of [epoch] starting
+    at [now control]; the last boundary is exactly [limit].
+
+    Within an epoch ending at boundary [b], with [tc] the control
+    engine's next event:
+    - if [tc <= b], every node engine fires its events stamped
+      strictly before [tc] and parks with its clock at [tc], then
+      [sync tc] runs, then the control engine {!run_until} [tc];
+      repeat;
+    - otherwise every node engine runs {!run_until} [b], then
+      [sync b], the control engine {!run_until} [b], and
+      [at_barrier b].
+
+    So control events see node state exactly as of their timestamp,
+    control events precede node events that share it, and work a
+    control event schedules on a node lands at the control event's
+    time. Node
+    engines must own disjoint event sets and hand cross-engine
+    effects to [sync], which may schedule them on [control] at or
+    after its current time. The result depends neither on the pool
+    size nor on its task-to-domain mapping. Requires [epoch > 0].
+    @raise Invalid_argument otherwise. *)
 
 val run_chunked :
   t ->
@@ -94,7 +112,7 @@ val run_chunked :
   limit:Gr_util.Time_ns.t ->
   at_barrier:(Gr_util.Time_ns.t -> unit) ->
   unit
-(** Single-engine sibling of {!run_epochs}: advances the engine in
+(** Single-engine counterpart of {!run_epochs}: advances the engine in
     epoch-sized chunks with [at_barrier] called at every boundary
     (the last exactly [limit]). Since {!run_until} fires every event
     [<= boundary] before clamping the clock, the event stream is

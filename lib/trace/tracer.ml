@@ -1,19 +1,13 @@
 (* Causal provenance context. Span ids are allocated in emission
-   order, which the single sim clock makes deterministic: the same
-   seed replays the same dispatch sequence, hence the same ids. The
-   context is shared between every tracer riding the same sim engine
-   (fleet control + nodes), so a cross-node effect parents to the
-   dispatch that caused it no matter which tracer records it.
-
-   In parallel fleet mode each domain instead owns a private context
-   on a disjoint arithmetic channel: channel [c] of [stride] allocates
-   ids [c, c + stride, c + 2*stride, ..] so merged traces carry
-   globally unique, reproducible span ids (the id mod stride recovers
-   the emitting channel) without any cross-domain coordination. *)
-type span_ctx = { mutable next_span : int; stride : int; mutable current : int option }
-
-let create_ctx ?(offset = 0) ?(stride = 1) () = { next_span = offset; stride; current = None }
-
+   order, which the sim clock makes deterministic: the same seed
+   replays the same dispatch sequence, hence the same ids. Every
+   tracer owns its context. In a fleet each tracer allocates on a
+   disjoint arithmetic channel: channel [c] of [stride] allocates ids
+   [c, c + stride, c + 2*stride, ..], so merged traces carry globally
+   unique, reproducible span ids (the id mod stride recovers the
+   emitting channel) without any cross-domain coordination. A cause
+   crosses tracers only by being set as the other tracer's current
+   span ({!with_current}). *)
 type t = {
   clock : unit -> Gr_util.Time_ns.t;
   events : Sink.t;
@@ -21,7 +15,9 @@ type t = {
   metrics : Metrics.t;
   mutable enabled : bool;
   mutable node_id : int option;
-  mutable ctx : span_ctx;
+  mutable next_span : int;
+  mutable stride : int;
+  mutable current : int option;
   (* Tail of the provenance args, [("parent", _); ("node", _)], cached
      per parent: args lists are immutable so every sibling event in a
      causal scope can share the same cells, and steady-state tagging
@@ -42,7 +38,9 @@ let create ~clock ?(capacity = 65536) ?(report_capacity = 16384) ?overflow ?(ena
     metrics;
     enabled;
     node_id;
-    ctx = create_ctx ();
+    next_span = 0;
+    stride = 1;
+    current = None;
     node_tail = (match node_id with None -> [] | Some id -> [ ("node", Event.Int id) ]);
     memo_parent = min_int;
     memo_tail = [];
@@ -62,22 +60,27 @@ let set_node_id t id =
   t.memo_parent <- min_int;
   Metrics.set_node_id t.metrics id
 
-let ctx t = t.ctx
-let set_ctx t ctx = t.ctx <- ctx
-let share_ctx ~src t = t.ctx <- src.ctx
-
 let set_span_channel t ~offset ~stride =
   if offset < 0 || stride < 1 || offset >= stride then
     invalid_arg "Tracer.set_span_channel: need 0 <= offset < stride";
-  t.ctx <- create_ctx ~offset ~stride ()
+  t.next_span <- offset;
+  t.stride <- stride
 
 let fresh_span t =
-  let id = t.ctx.next_span in
-  t.ctx.next_span <- id + t.ctx.stride;
+  let id = t.next_span in
+  t.next_span <- id + t.stride;
   id
 
-let current_span t = t.ctx.current
-let set_current t span = t.ctx.current <- span
+let current_span t = t.current
+let set_current t span = t.current <- span
+
+let with_current t span f =
+  if not t.enabled then f ()
+  else begin
+    let prev = t.current in
+    t.current <- span;
+    Fun.protect ~finally:(fun () -> t.current <- prev) f
+  end
 
 (* Provenance + fleet tagging: each recorded event carries its own
    span id, the span id of the event that caused it (when inside a
@@ -89,7 +92,7 @@ let tag t ?span ?parent args =
   let selfcost = Selfcost.enabled () in
   let t0 = if selfcost then Selfcost.now_ns () else 0. in
   let span = match span with Some s -> s | None -> fresh_span t in
-  let parent = match parent with Some _ as p -> p | None -> t.ctx.current in
+  let parent = match parent with Some _ as p -> p | None -> t.current in
   (* Built back to front so the trailing cells are shared, never
      copied: the parent/node tail is memoized per parent (siblings of
      one causal scope hit the cache), so steady-state tagging
@@ -144,12 +147,12 @@ let with_span t ~cat ?args name f =
        same tree. *)
     let span = fresh_span t in
     span_begin t ~cat ?args ~span name;
-    let prev = t.ctx.current in
-    t.ctx.current <- Some span;
+    let prev = t.current in
+    t.current <- Some span;
     Fun.protect
       ~finally:(fun () ->
         span_end t ~cat name;
-        t.ctx.current <- prev)
+        t.current <- prev)
       f
   end
 

@@ -29,12 +29,6 @@
 
 type t
 
-type span_ctx
-(** The shared provenance state: a span-id allocator and the current
-    causal parent. One per standalone deployment; shared across every
-    tracer of a fleet (control + nodes) so causality crosses node
-    boundaries. *)
-
 val create :
   clock:(unit -> Gr_util.Time_ns.t) ->
   ?capacity:int ->
@@ -69,32 +63,33 @@ val set_node_id : t -> int option -> unit
 
 (* Causal span context. *)
 
-val ctx : t -> span_ctx
-val set_ctx : t -> span_ctx -> unit
-val share_ctx : src:t -> t -> unit
-(** [share_ctx ~src t] makes [t] allocate spans from [src]'s context;
-    the fleet wires every node tracer to the control tracer's context
-    at creation. *)
-
 val set_span_channel : t -> offset:int -> stride:int -> unit
-(** [set_span_channel t ~offset ~stride] replaces [t]'s context with a
-    fresh one allocating ids [offset, offset + stride, ..]. Parallel
-    fleets give each domain's tracer a disjoint channel (control is
-    channel 0, node [i] channel [i+1], stride [nodes+1]) so merged
-    traces carry globally unique span ids with no cross-domain
-    coordination; [id mod stride] recovers the emitting channel.
+(** [set_span_channel t ~offset ~stride] restarts [t]'s span
+    allocation on ids [offset, offset + stride, ..]. A fleet
+    gives each tracer a disjoint channel (control is channel 0, node
+    [i] channel [i+1], stride [nodes+1]) so merged traces carry
+    globally unique span ids with no cross-domain coordination;
+    [id mod stride] recovers the emitting channel.
     Requires [0 <= offset < stride].
     @raise Invalid_argument otherwise. *)
 
 val fresh_span : t -> int
 (** Allocate the next span id (monotonic within the context, advancing
-    by the channel stride — 1 for sequential deployments). *)
+    by the channel stride — 1 for standalone deployments). *)
 
 val current_span : t -> int option
 val set_current : t -> int option -> unit
 (** Set/clear the causal parent subsequent emissions will carry.
     Sites that open a causal scope save the previous value and
     restore it when the scope closes. *)
+
+val with_current : t -> int option -> (unit -> 'a) -> 'a
+(** [with_current t span f] runs [f] with [span] as [t]'s current
+    causal parent and restores the previous one afterwards, even if
+    [f] raises. This is how a cause crosses tracers: a fleet runs a
+    control-phase call into a node under the control tracer's
+    current span, and replays a node's intent under the node span
+    that captured it. A plain call when tracing is disabled. *)
 
 (* Emitters; all no-ops when disabled except [report]. [?span] pins
    the event's own span id (callers that also set it as the current

@@ -157,7 +157,7 @@ let test_repro_command_shape () =
   check "names the scenario" true (contains "--scenario store");
   check "names the seed" true (contains "--seed 9");
   check "carries the shrunk plan" true (contains (Fault.plan_to_string f.Soak.shrunk));
-  check "sequential repro omits --domains" false (contains "--domains");
+  check "one-domain repro omits --domains" false (contains "--domains");
   check "parallel repro pins --domains" true
     (contains_in (Soak.repro_command { f with Soak.domains = 4 }) "--domains 4")
 

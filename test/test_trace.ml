@@ -400,29 +400,65 @@ let test_selfcost_gating () =
 
 (* ---------- Fleet provenance ---------- *)
 
-let test_fleet_shared_span_ctx () =
-  let fleet = Guardrails.Fleet.create ~nodes:2 ~seed:3 ~tracing:true () in
-  let control = Guardrails.Fleet.tracer fleet in
-  let node0 = Guardrails.Deployment.tracer (Guardrails.Fleet.node fleet 0) in
-  let node1 = Guardrails.Deployment.tracer (Guardrails.Fleet.node fleet 1) in
-  (* One allocator across tiers: ids interleave instead of colliding. *)
-  let a = Tracer.fresh_span control in
-  let b = Tracer.fresh_span node0 in
-  let c = Tracer.fresh_span node1 in
-  check_int "node allocates after control" (a + 1) b;
-  check_int "second node continues the sequence" (b + 1) c;
-  (* A causal parent set on the control tier is visible to node
-     emissions, so cross-tier effects parent back to their cause. *)
-  Tracer.set_current control (Some a);
-  Tracer.instant node0 ~cat:"test" "cross";
-  (match Sink.to_list (Tracer.events node0) with
-  | [ e ] ->
-    check_bool "node event parents to control span" true
-      (List.assoc_opt "parent" e.Event.args = Some (Event.Int a));
-    check_bool "node event keeps its node tag" true
-      (List.assoc_opt "node" e.Event.args = Some (Event.Int 0))
-  | l -> Alcotest.failf "expected 1 node event, got %d" (List.length l));
-  Tracer.set_current control None
+(* Provenance crosses fleet tiers in both directions, at any domain
+   count, although every tracer allocates spans on its own channel:
+   - a node's GLOBAL save is replayed on the control engine under the
+     node span that made it, so the control ON_CHANGE REPORT it
+     triggers chains back to the node's dispatch;
+   - a control SAVE(GLOBAL) runs node 1's ON_CHANGE check under the
+     control span, so the node's REPORT chains back to the control
+     decision. *)
+let test_fleet_cross_tier_provenance () =
+  List.iter
+    (fun domains ->
+      let module Fleet = Guardrails.Fleet in
+      let module D = Guardrails.Deployment in
+      let fleet = Fleet.create ~nodes:2 ~seed:3 ~tracing:true ~domains () in
+      D.derive_periodic (Fleet.node fleet 0)
+        ~key:(Gr_dsl.Ast.global_key "beacon")
+        ~every:(Time_ns.ms 30)
+        (fun () -> 1.);
+      ignore
+        (Fleet.install_source_exn fleet
+           {|guardrail on_beacon { trigger: { ON_CHANGE(GLOBAL(beacon)) } rule: { LOAD(GLOBAL(beacon)) < 0 } action: { REPORT("beacon seen") } }
+             guardrail push_g { trigger: { TIMER(0, 100ms) } rule: { COUNT(nothing, 1s) >= 1 } action: { SAVE(GLOBAL(g), 1) } }|}
+          : Gr_runtime.Engine.handle list);
+      ignore
+        (D.install_source_exn (Fleet.node fleet 1)
+           {|guardrail on_g { trigger: { ON_CHANGE(GLOBAL(g)) } rule: { LOAD(GLOBAL(g)) < 0 } action: { REPORT("g seen") } }|}
+          : Gr_runtime.Engine.handle list);
+      Fleet.run_until fleet (Time_ns.ms 250);
+      let tracers = Fleet.tracer fleet :: List.map D.tracer (Array.to_list (Fleet.nodes fleet)) in
+      let prov =
+        Provenance.of_events
+          (List.concat_map
+             (fun tr -> Sink.to_list (Tracer.events tr) @ Sink.to_list (Tracer.reports tr))
+             tracers)
+      in
+      let label fmt = Printf.sprintf ("%d domain(s): " ^^ fmt) domains in
+      check_int (label "no orphans") 0 (List.length (Provenance.orphans prov));
+      let node_of (n : Provenance.node) =
+        match List.assoc_opt "node" n.event.Event.args with Some (Event.Int i) -> Some i | _ -> None
+      in
+      let chain_of name =
+        match List.filter (fun (n : Provenance.node) -> n.event.Event.name = name) (Provenance.reports prov) with
+        | [] -> Alcotest.failf "%s" (label "no %s report" name)
+        | r :: _ -> (r, Provenance.ancestors prov r)
+      in
+      (* node 0 -> control *)
+      let report, chain = chain_of "on_beacon" in
+      check_bool (label "control REPORT is the control tier's") true (node_of report = None);
+      check_bool (label "it chains back to node 0") true
+        (List.exists (fun n -> node_of n = Some 0) chain);
+      (* control -> node 1 *)
+      let report, chain = chain_of "on_g" in
+      check_bool (label "node REPORT is node 1's") true (node_of report = Some 1);
+      check_bool (label "it chains back to the control SAVE") true
+        (List.exists
+           (fun (n : Provenance.node) ->
+             node_of n = None && n.event.Event.cat = "action" && n.event.Event.name = "SAVE")
+           chain))
+    [ 1; 2 ]
 
 let suite =
   [
@@ -453,8 +489,8 @@ let suite =
         Alcotest.test_case "report chain reconstruction" `Quick test_provenance_reconstruction;
         Alcotest.test_case "actions share the decision" `Quick
           test_provenance_actions_same_decision;
-        Alcotest.test_case "fleet tracers share the span context" `Quick
-          test_fleet_shared_span_ctx;
+        Alcotest.test_case "fleet cascades chain across tiers both ways" `Quick
+          test_fleet_cross_tier_provenance;
       ] );
     ( "trace.openmetrics",
       [
